@@ -1,8 +1,7 @@
 """Clenshaw-Curtis nodes on [0, 1] and shifted-Chebyshev interpolation.
 
-Coefficients are computed by a type-I DCT: through an FFT of the even
-extension when the node count is a power of two, by direct summation
-otherwise, so correctness never depends on how N factors.
+Coefficients are computed by scipy's type-I DCT, which is O(N log N) for
+every N.
 """
 
 from __future__ import annotations
@@ -10,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.fft
 
 from .errors import DomainError
 
@@ -42,21 +42,6 @@ def cc_points(N: int) -> np.ndarray:
     return 0.5 + 0.5 * np.cos(np.arange(N + 1) * np.pi / N)
 
 
-def _coeffs_fft(samples: np.ndarray) -> np.ndarray:
-    N = len(samples) - 1
-    even = np.concatenate([samples, samples[-2:0:-1]])
-    return np.fft.rfft(even).real[: N + 1] / N
-
-
-def _coeffs_direct(samples: np.ndarray) -> np.ndarray:
-    N = len(samples) - 1
-    j = np.arange(N + 1)
-    weights = np.ones(N + 1)
-    weights[0] = weights[-1] = 0.5
-    cosmat = np.cos(np.outer(j, j) * (np.pi / N))
-    return (2.0 / N) * (cosmat @ (weights * samples))
-
-
 def cheb_interp_coeffs(samples) -> ChebyshevExpansion:
     """Interpolation coefficients from samples of f at cc_points(N).
 
@@ -67,11 +52,7 @@ def cheb_interp_coeffs(samples) -> ChebyshevExpansion:
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 1 or len(samples) < 2:
         raise DomainError("need a flat sequence of N+1 >= 2 samples")
-    N = len(samples) - 1
-    if N >= 2 and N & (N - 1) == 0:
-        b = _coeffs_fft(samples)
-    else:
-        b = _coeffs_direct(samples)
+    b = scipy.fft.dct(samples, type=1) / (len(samples) - 1)
     b[0] *= 0.5
     b[-1] *= 0.5
     return ChebyshevExpansion(b)

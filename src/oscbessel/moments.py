@@ -110,8 +110,9 @@ def power_moment(a: float, b: float, nu: float, omega: float,
                  rel_tol: float = 1e-14) -> ExtendedReal:
     """I(a,b,nu,w) = int_0^1 x^a (1-x)^b J_nu(w x) dx, closed form.
 
-    Gamma prefactor times 2F3 evaluated at z = -w^2/4 with precision
-    escalation; valid for a + nu > -1 and b > -1.
+    Gamma prefactor times 2F3 evaluated at z = -w^2/4; valid for
+    a + nu > -1 and b > -1.  err_est covers the 2F3's two-precision
+    disagreement and the rounding of the product at the pipeline precision.
     """
     if not float(a) + float(nu) > -1.0:
         raise DomainError(f"need a + nu > -1, got {float(a) + float(nu)}")
@@ -125,14 +126,17 @@ def power_moment(a: float, b: float, nu: float, omega: float,
         args = ((am + nm + 1) / 2, (am + nm + 2) / 2,
                 nm + 1, (am + bm + nm + 2) / 2, (am + bm + nm + 3) / 2,
                 -(wm * wm) / 4)
-    h = hyp2f3(*args, rel_tol=rel_tol)
-    with mp.workprec(h.prec):
+    h = hyp2f3(*args, rel_tol=rel_tol, prec=_PIPE_PREC)
+    with mp.workprec(_PIPE_PREC):
         pref = (mp.gamma(bm + 1) * mp.gamma(am + nm + 1)
                 * (wm / 2) ** nm
                 / (mp.gamma(nm + 1) * mp.gamma(am + bm + nm + 2)))
         val = pref * h.value
-        err = float(abs(pref)) * h.err_est
-    return ExtendedReal(val, h.prec, err_est=err)
+        # Four gammas, a power and five products or quotients, each good
+        # to about half an ulp: 2^-188 (16 ulps) covers them with margin.
+        err = float(abs(pref)) * h.err_est + float(abs(val)) * 2.0 ** (
+            4 - _PIPE_PREC)
+    return ExtendedReal(val, _PIPE_PREC, err_est=err)
 
 
 def _starting_mpf(spec: ProblemSpec, count: int):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -26,6 +27,10 @@ class ProblemSpec:
     integrand_name: str = ""
 
     def __post_init__(self):
+        for name in ("alpha", "beta", "nu", "omega"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(
+                    f"{name} must be finite, got {getattr(self, name)}")
         if not self.alpha > -1.0:
             raise DomainError(f"alpha must be > -1, got {self.alpha}")
         if not self.beta > -1.0:

@@ -3,8 +3,8 @@
 Bessel functions of the first kind with real order, their Taylor jets,
 the generalized hypergeometric series 2F3, the gamma function, and the
 exact power-basis coefficients of shifted Chebyshev polynomials.  The
-cancellation-prone series (2F3 at large negative argument, the Bessel
-ascending series) are summed in configurable-precision arithmetic.
+Bessel ascending series is summed in extended precision to absorb its
+cancellation; 2F3 comes from mpmath at a fixed working precision.
 """
 
 from __future__ import annotations
@@ -392,63 +392,28 @@ def _is_nonpositive_int(b) -> bool:
     return b <= 0.0 and abs(b - round(b)) < 1e-12
 
 
-def _hyp2f3_fixed(a1, a2, b1, b2, b3, z, prec: int):
-    with mp.workprec(prec):
-        zz = mp.mpf(z)
-        # Factors must stay in working precision: float-rounded Pochhammer
-        # factors inject noise that survives the cancellation.
-        a1, a2 = mp.mpf(a1), mp.mpf(a2)
-        b1, b2, b3 = mp.mpf(b1), mp.mpf(b2), mp.mpf(b3)
-        term = mp.mpf(1)
-        s = mp.mpf(1)
-        peak = mp.mpf(1)
-        eps = mp.mpf(2) ** (-prec + 5)
-        n = 0
-        tiny = 0
-        while n < 200000:
-            term *= (a1 + n) * (a2 + n) * zz / ((b1 + n) * (b2 + n) * (b3 + n) * (n + 1))
-            s += term
-            n += 1
-            if abs(term) > peak:
-                peak = abs(term)
-            if abs(term) <= eps * peak:
-                tiny += 1
-                if tiny >= 3:
-                    break
-            else:
-                tiny = 0
-        return s, peak
-
-
 def hyp2f3(a1, a2, b1, b2, b3, z, rel_tol: float = 1e-15,
-           max_prec: int = 4096) -> ExtendedReal:
-    """2F3(a1, a2; b1, b2, b3; z) summed with adaptive precision.
+           prec: int = 192) -> ExtendedReal:
+    """2F3(a1, a2; b1, b2, b3; z) from mpmath at a fixed working precision.
 
-    Working precision is doubled until two successive evaluations agree
-    to ``rel_tol``; the result carries the last disagreement as err_est.
+    mpmath sums the series with its own cancellation guard and switches to
+    the asymptotic expansion at large |z|.  The value is taken 64 bits
+    above ``prec``; its disagreement with the evaluation at ``prec`` is
+    err_est and must stay within ``rel_tol`` of the value.
     """
     for b in (b1, b2, b3):
         if _is_nonpositive_int(b):
             raise PoleError(f"lower parameter {b} is a nonpositive integer")
-    if z == 0.0:
-        return ExtendedReal(1.0, 128, 0.0)
-    prec = 128
-    prev, peak = _hyp2f3_fixed(a1, a2, b1, b2, b3, z, prec)
-    while prec < max_prec:
-        # The first pass reveals the cancellation (peak/result); jump to a
-        # precision that covers it instead of doubling blindly.
-        lost = 0
-        if prev != 0 and peak > abs(prev):
-            lost = int(mp.ceil(mp.log(peak / abs(prev), 2)))
-        prec = min(max(2 * prec, lost + 96), max_prec)
-        cur, peak = _hyp2f3_fixed(a1, a2, b1, b2, b3, z, prec)
-        with mp.workprec(prec):
-            diff = abs(cur - prev)
-            if diff <= mp.mpf(rel_tol) * abs(cur):
-                return ExtendedReal(cur, prec, err_est=float(diff))
-        prev = cur
-    raise ConvergenceError(
-        f"2F3 series did not stabilize to {rel_tol} within {max_prec} bits")
+    with mp.workprec(prec):
+        lo = mp.hyp2f3(a1, a2, b1, b2, b3, z)
+    with mp.workprec(prec + 64):
+        hi = mp.hyp2f3(a1, a2, b1, b2, b3, z)
+        diff = abs(hi - lo)
+        if diff > rel_tol * abs(hi):
+            raise ConvergenceError(
+                f"2F3 at {prec} and {prec + 64} bits differs by "
+                f"{float(diff):.3e}, over {rel_tol} of {float(hi):.3e}")
+    return ExtendedReal(hi, prec + 64, err_est=float(diff))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from oscbessel.chebfit import (ChebyshevExpansion, _coeffs_direct,
-                               _coeffs_fft, cc_points, cheb_eval,
+from oscbessel.chebfit import (ChebyshevExpansion, cc_points, cheb_eval,
                                cheb_interp_coeffs)
 from oscbessel.errors import DomainError
 
@@ -61,13 +60,21 @@ class TestInterpCoeffs:
                     assert np.max(np.abs(got - want)) <= 1e-12, (n, p, j)
 
     def test_fft_and_direct_paths_agree(self):
+        # O(N^2) reference: b_k = (2/N) sum''_j f_j cos(j k pi / N), then
+        # b_0 and b_N halved, for N on and off the powers of two.
         rng = np.random.default_rng(3)
-        for n in (8, 64, 256):
+        for n in (1, 8, 21, 64, 256, 1000):
             samples = rng.standard_normal(n + 1)
-            fast = _coeffs_fft(samples)
-            slow = _coeffs_direct(samples)
-            scale = np.max(np.abs(slow))
-            assert np.max(np.abs(fast - slow)) <= 1e-13 * scale
+            j = np.arange(n + 1)
+            weights = np.ones(n + 1)
+            weights[0] = weights[-1] = 0.5
+            cosmat = np.cos(np.outer(j, j) * (np.pi / n))
+            want = (2.0 / n) * (cosmat @ (weights * samples))
+            want[0] *= 0.5
+            want[-1] *= 0.5
+            got = cheb_interp_coeffs(samples).coefficients
+            scale = np.max(np.abs(want))
+            assert np.max(np.abs(got - want)) <= 1e-13 * scale, n
 
     def test_coefficient_decay_kink(self):
         # |b_j| for |x-0.5| decays like the 1/(j(j-1)) bound shape.

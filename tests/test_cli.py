@@ -69,6 +69,13 @@ class TestExitCodes:
         assert code == 2
         assert "alpha" in err
 
+    def test_non_finite_omega_is_2(self, capsys):
+        code, _, err = run(
+            ["integrate", "--alpha", "0.2", "--beta", "0.4", "--nu", "0",
+             "--omega", "inf", "--f", "smooth_exp", "--N", "8"], capsys)
+        assert code == 2
+        assert "omega must be finite" in err
+
     def test_numerical_failure_is_3(self, capsys, monkeypatch):
         def explode(plan):
             raise AccuracyError("synthetic blow-up", err_est=1.0)

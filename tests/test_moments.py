@@ -1,13 +1,15 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from oscbessel.errors import DomainError
-from oscbessel.moments import (MomentTable, end_moment_asymptotic,
-                               forward_moments, moment_table, oliver_moments,
-                               power_moment, recurrence_coefficients,
-                               recurrence_residual, starting_moments)
+from oscbessel.moments import (MomentTable, _starting_mpf,
+                               end_moment_asymptotic, forward_moments,
+                               moment_table, oliver_moments, power_moment,
+                               recurrence_coefficients, recurrence_residual,
+                               starting_moments)
 from oscbessel.oracle import (OracleConfig, reference_moment,
                               reference_moments)
 from oscbessel.problem import ProblemSpec
@@ -18,6 +20,71 @@ CFG = OracleConfig(rel_tol=1e-13)
 def oracle_vals(spec, ks):
     table = reference_moments(spec, list(ks), CFG)
     return {k: table[k][0] for k in ks}, {k: table[k][1] for k in ks}
+
+
+def power_moment_600(a, b, nu, w):
+    """The closed form of power_moment, every step at 600 bits."""
+    with mp.workprec(600):
+        a, b, nu, w = (mp.mpf(v) for v in (a, b, nu, w))
+        pref = (mp.gamma(b + 1) * mp.gamma(a + nu + 1) * (w / 2) ** nu
+                / (mp.gamma(nu + 1) * mp.gamma(a + b + nu + 2)))
+        return pref * mp.hyp2f3((a + nu + 1) / 2, (a + nu + 2) / 2, nu + 1,
+                                (a + b + nu + 2) / 2, (a + b + nu + 3) / 2,
+                                -w * w / 4)
+
+
+#: M(0)..M(5) to 60 digits on six kernels, as the adaptive-precision
+#: summation of the 2F3 series (up to 4096 bits) gave them.
+SERIES_STARTS = {
+    (0.2, 0.4, 0.0, 20.0): (
+        "0.020619182387610407183296600130146754951961058771752639561656",
+        "-0.0221675684167559801781330448756331579372168383860869203895271",
+        "0.0233240415735638509343705530256755224521876593043065622668067",
+        "-0.0196225126110913171835781727666111327369499708495853832486625",
+        "0.021010765073368561153533268031466842583277866172228857494435",
+        "0.00356054622476110615233009302850826314586611792585521688541766",
+    ),
+    (0.2, 0.4, 2.5, 200.0): (
+        "0.00207764871477143599751819054030748995319210446737079442241518",
+        "-0.00203249542368439263373933662993588430142006873942207078464418",
+        "0.00187681299263412610721008879977389096092252152131649584602249",
+        "-0.00163211750769461501644697380712930399656732785113141467629698",
+        "0.00130623379449708508789179633399376329266818349213198704602323",
+        "-0.000894648095802330117836887935084489999382340341229798659085567",
+    ),
+    (0.2, 0.4, 0.0, 200.0): (
+        "0.00131858018999485297141918853949369235913511952472175327344672",
+        "-0.0013594345989552366567180603898585919265709607220140735413695",
+        "0.00133090177503169792893383205248233115063753399065603533248877",
+        "-0.00138774116812949479873779819019193139274374366313394627784627",
+        "0.00136185214227423181329710810168542871155254727180094992350226",
+        "-0.00143138681300837055729284551244176752547232783420364482966047",
+    ),
+    (0.2, 0.4, 0.0, 1000.0): (
+        "0.000193133339178520601777399630598697283434264579535505863161733",
+        "-0.000194437433266553269955924912270348923723642739977895177565673",
+        "0.000193555535077021566526757613335256480016108399079895082942035",
+        "-0.000195215532779041321591346551790163351492834711620682722022388",
+        "0.000194786597135987100151071798462024968057250652767324611218416",
+        "-0.000196699541254892280441891317989789140916708825733468206499595",
+    ),
+    (-0.5, -0.5, 1.0, 200.0): (
+        "0.0643421568373146240121956572358872624045643500270704834585907",
+        "-0.0705143120369442396540386511545949862960953878437846909633255",
+        "0.0612651640983567696777228899335415138553100273888549437225793",
+        "-0.064892500135920141834582980342685867669396506424256336378222",
+        "0.0522071126216586222746756481100381110729167935921992664205404",
+        "-0.0539658621080096683700821231648304920597884750534297665361332",
+    ),
+    (-0.8, -0.9, 2.5, 200.0): (
+        "0.462273543242865213504549375970943477614322695859276728598398",
+        "0.131944722948481932133943872915279299000154114453283104817323",
+        "0.445113654497236490926782354807534707538148930568374272049719",
+        "0.16361253514684522408712283542762297189228421133099028968265",
+        "0.396780253366873611623098162490322787532645412338109850247789",
+        "0.220371363960659640796221852340301209020562475079111742858456",
+    ),
+}
 
 
 def nine_point_residual(spec, m, values):
@@ -41,6 +108,16 @@ class TestPowerMoment:
         got = float(power_moment(0.2, 0.4, 0.0, 1e-3))
         beta = math.gamma(1.2) * math.gamma(1.4) / math.gamma(2.6)
         assert abs(got - beta) <= 1e-6 * beta
+
+    @pytest.mark.parametrize("a, b, nu", [(0.2, 0.4, 0.0),
+                                          (-0.8, -0.9, 2.5),
+                                          (0.6, -0.4, 7.0)])
+    def test_err_est_bounds_error(self, a, b, nu):
+        for w in (20.0, 1000.0, 2000.0, 1e4, 1e5):
+            got = power_moment(a, b, nu, w)
+            with mp.workprec(600):
+                err = abs(got.value - power_moment_600(a, b, nu, w))
+            assert err <= got.err_est, (w, float(err), got.err_est)
 
     def test_parameter_validation(self):
         with pytest.raises(DomainError):
@@ -74,6 +151,14 @@ class TestStartingMoments:
         spec = ProblemSpec(0.2, 0.4, 0.0, 20.0)
         with pytest.raises(DomainError):
             starting_moments(spec, 9)
+
+    def test_agree_with_series_summation(self):
+        for kernel, want in SERIES_STARTS.items():
+            got = _starting_mpf(ProblemSpec(*kernel), 6)
+            with mp.workprec(300):
+                for k, ((v, _), w) in enumerate(zip(got, want)):
+                    w = mp.mpf(w)
+                    assert abs(v - w) <= 1e-50 * abs(w), (kernel, k)
 
 
 class TestForwardMoments:
@@ -198,6 +283,17 @@ class TestMomentTable:
         for k in ks:
             assert abs(table.values[k] - refs[k]) <= (
                 1e-8 * abs(refs[k]) + 3 * errs[k]), k
+
+    def test_omega_2000_against_oracle(self):
+        # The 2F3 at |z| = 1e6 cancels past 4096 bits when its series is
+        # summed term by term; the bound is criterion-04's.
+        spec = ProblemSpec(0.2, 0.4, 0.0, 2000.0)
+        table = moment_table(spec, 256)
+        ks = [0, 5, 100, 256]
+        refs, errs = oracle_vals(spec, ks)
+        for k in ks:
+            assert abs(table.values[k] - refs[k]) <= (
+                1e-8 * abs(refs[k]) + errs[k]), k
 
     def test_negative_index_symmetry(self):
         table = moment_table(ProblemSpec(0.2, 0.4, 0.0, 20.0), 16)

@@ -125,6 +125,21 @@ class TestHyp2f3:
         tight = float(hyp2f3(*args, rel_tol=1e-15))
         assert abs(loose - tight) <= 1e-11 * abs(tight)
 
+    def test_large_argument_at_fixed_precision(self):
+        # z = -(1e4/2)^2, past where the series summation gave up.
+        args = (0.6, 1.1, 1.0, 1.3, 1.8, -2.5e7)
+        got = hyp2f3(*args)
+        assert got.prec == 256
+        with mp.workprec(400):
+            want = mp.hyp2f3(*args)
+            floor = mp.mpf(2) ** -250 * abs(want)
+            assert abs(got.value - want) <= got.err_est + floor
+
+    def test_disagreement_beyond_tolerance_raises(self):
+        # The 192- and 256-bit values differ in their last bits.
+        with pytest.raises(ConvergenceError):
+            hyp2f3(0.6, 1.1, 1.0, 1.3, 1.8, -100.0, rel_tol=0.0)
+
     def test_pole_parameter(self):
         with pytest.raises(PoleError):
             hyp2f3(0.5, 0.5, -1.0, 1.0, 1.0, 1.0)
