@@ -2,8 +2,10 @@
 
 Ground truth for everything else in the package: panels split at the
 kernel's sign changes, adaptive Gauss-Kronrod inside, tanh-sinh at the
-singular endpoints, final summation in extended precision.  This module
-deliberately knows nothing about the moment recurrence or the CCF rule.
+singular endpoints, final summation correctly rounded (``math.fsum``).
+Nodes are evaluated as numpy arrays and J_nu comes from
+``scipy.special.jv``.  This module deliberately knows nothing about the
+moment recurrence, the CCF rule or the pipeline's own special functions.
 """
 
 from __future__ import annotations
@@ -12,10 +14,9 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import mpmath as mp
 import numpy as np
+from scipy.special import jv
 
-from . import specfun
 from .errors import AccuracyError, DomainError
 from .problem import ProblemSpec
 
@@ -27,7 +28,6 @@ __all__ = ["OracleConfig", "reference_integral", "reference_moment",
 class OracleConfig:
     rel_tol: float = 1e-12
     max_panels: int = 4096
-    precision_bits: int = 192
 
     def __post_init__(self):
         if self.rel_tol < 1e-14:
@@ -63,24 +63,42 @@ _wg_full[1::2] = _WG
 _GK_WGAUSS = np.concatenate([_wg_full[:-1], _wg_full[::-1]])
 
 
-def _gk15(f, a, b):
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    vals = np.array([f(mid + half * t) for t in _GK_NODES])
-    k15 = half * float(_GK_WK @ vals)
-    g7 = half * float(_GK_WGAUSS @ vals)
-    return k15, abs(k15 - g7)
+def _gk_nodes(lo, hi):
+    """(half-widths, (panels x 15) nodes) of the panels [lo_i, hi_i]."""
+    half = 0.5 * (hi - lo)
+    return half, (0.5 * (lo + hi))[:, None] + half[:, None] * _GK_NODES
 
 
-def _gk_adaptive(f, a, b, abs_tol, budget, depth=0):
-    val, err = _gk15(f, a, b)
-    budget[0] -= 1
-    if err <= abs_tol or depth >= 40 or budget[0] <= 0:
-        return val, err
-    mid = 0.5 * (a + b)
-    v1, e1 = _gk_adaptive(f, a, mid, abs_tol / 2, budget, depth + 1)
-    v2, e2 = _gk_adaptive(f, mid, b, abs_tol / 2, budget, depth + 1)
-    return v1 + v2, e1 + e2
+def _gk15(f, lo, hi):
+    """K15 values and |K15 - G7| on every panel, f called once on all nodes."""
+    half, x = _gk_nodes(lo, hi)
+    vals = f(x)
+    return half * (vals @ _GK_WK), np.abs(half * (vals @ (_GK_WK - _GK_WGAUSS)))
+
+
+def _gk_adaptive(f, lo, hi, val, err, abs_tol, budget):
+    """Bisect every panel whose GK15 error exceeds its tolerance.
+
+    (val, err) are the GK15 results on [lo, hi]; a child panel gets half its
+    parent's tolerance.  Refinement stops at depth 40 or once ``budget``
+    panel evaluations are spent.  Returns the values and errors of the
+    accepted panels.
+    """
+    vals, errs = [], []
+    for _ in range(40):
+        bad = err > abs_tol
+        if budget <= 0 or not bad.any():
+            break
+        vals.append(val[~bad])
+        errs.append(err[~bad])
+        mid = 0.5 * (lo[bad] + hi[bad])
+        lo, hi = np.concatenate([lo[bad], mid]), np.concatenate([mid, hi[bad]])
+        abs_tol *= 0.5
+        val, err = _gk15(f, lo, hi)
+        budget -= lo.size
+    vals.append(val)
+    errs.append(err)
+    return np.concatenate(vals), np.concatenate(errs)
 
 
 # ---------------------------------------------------------------------------
@@ -92,61 +110,51 @@ _TS_H0 = 0.5
 _TS_MAX_LEVEL = 12
 
 
-@lru_cache(maxsize=32)
-def _ts_tgrid(level: int):
-    """t abscissae new at this refinement level (level 0: the full h0 grid)."""
-    h = _TS_H0 / 2**level
-    if level == 0:
-        n = int(_TS_TMAX / h)
-        return tuple(k * h for k in range(-n, n + 1))
-    n = int(_TS_TMAX / h)
-    return tuple(k * h for k in range(-n, n + 1) if k % 2 != 0)
-
-
-def _log_sigmoid(y: float) -> float:
-    if y >= 0:
-        return -math.log1p(math.exp(-y))
-    return y - math.log1p(math.exp(y))
-
-
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=None)
 def _ts_raw_nodes(level: int):
-    """(sig, logfac0) per new node: distance fraction from the singular end
-    and log of sigma^1 * jacobian (the u^gamma part is applied later)."""
-    out = []
-    for t in _ts_tgrid(level):
-        y = math.pi * math.sinh(t)
-        ls = _log_sigmoid(y)
-        lsm = _log_sigmoid(-y)
-        lj = math.log(math.pi * math.cosh(t)) + ls + lsm
-        out.append((math.exp(ls), ls, lj))
-    return tuple(out)
+    """(sig, log sig, log jacobian) arrays for the t nodes new at this level.
+
+    sig is the distance fraction from the singular end; level 0 is the full
+    h0 grid, later levels its odd multiples of h.  The u^gamma part is
+    applied later, in log space.
+    """
+    h = _TS_H0 / 2**level
+    n = int(_TS_TMAX / h)
+    j = np.arange(-n, n + 1)
+    t = (j if level == 0 else j[j % 2 != 0]) * h
+    y = math.pi * np.sinh(t)
+    ls = -np.logaddexp(0.0, -y)          # log sigmoid(y)
+    lj = np.log(math.pi * np.cosh(t)) + ls - np.logaddexp(0.0, y)
+    out = (np.exp(ls), ls, lj)
+    for a in out:
+        a.setflags(write=False)
+    return out
 
 
-def _tanh_sinh(psi, length, gamma, abs_tol, rel_tol=1e-14):
-    """integral_0^length u^gamma psi(u) du, singularity (if any) at u = 0.
+def _ts_levels(length, gamma):
+    """Yield (h, u, weight) per tanh-sinh level for int_0^length u^gamma psi(u).
 
-    psi receives the distance u from the singular endpoint (computed
-    without cancellation); the u^gamma factor is applied in log space so
-    exponents near -1 cannot underflow.
+    u is the distance from the singular endpoint (computed without
+    cancellation); weight holds u^gamma times the jacobian, formed in log
+    space so exponents near -1 cannot underflow.  Nodes whose weight is
+    below e^-745 are dropped.
     """
     log_len = math.log(length)
-    total = 0.0
-    prev = math.inf
-    err = math.inf
     for level in range(_TS_MAX_LEVEL + 1):
-        h = _TS_H0 / 2**level
-        part = 0.0
-        for sig, ls, lj in _ts_raw_nodes(level):
-            u = length * sig
-            logfac = gamma * (log_len + ls) + log_len + lj
-            if logfac < -745.0:
-                continue
-            part += math.exp(logfac) * psi(u)
-        total = (total if level == 0 else 0.5 * total) + h * part
+        sig, ls, lj = _ts_raw_nodes(level)
+        logfac = gamma * (log_len + ls) + log_len + lj
+        keep = logfac >= -745.0
+        yield _TS_H0 / 2**level, length * sig[keep], np.exp(logfac[keep])
+
+
+def _tanh_sinh(psi, length, gamma, rel_tol):
+    """integral_0^length u^gamma psi(u) du, singularity (if any) at u = 0."""
+    total = prev = 0.0
+    for level, (h, u, weight) in enumerate(_ts_levels(length, gamma)):
+        total = (0.5 * total if level else 0.0) + h * float(weight @ psi(u))
         if level >= 2:
             err = abs(total - prev)
-            if err <= max(abs_tol, rel_tol * abs(total)):
+            if err <= rel_tol * abs(total):
                 break
         prev = total
     return total, err
@@ -160,40 +168,27 @@ def _tanh_sinh(psi, length, gamma, abs_tol, rel_tol=1e-14):
 def _bessel_zeros(nu: float, xmax: float):
     """Approximate positive zeros of J_nu below xmax (McMahon + bisection)."""
     mu = 4.0 * nu * nu
-    zeros = []
-    s = 1
-    while True:
-        b = (s + 0.5 * nu - 0.25) * math.pi
-        z = b - (mu - 1) / (8 * b) - 4 * (mu - 1) * (7 * mu - 31) / (3 * (8 * b) ** 3)
-        if z >= xmax:
-            break
-        lo, hi = z - 0.4, z + 0.4
-        if lo > 0:
-            flo = specfun._bessel_j_real(nu, lo)
-            fhi = specfun._bessel_j_real(nu, hi)
-            if flo * fhi < 0:
-                for _ in range(12):
-                    mid = 0.5 * (lo + hi)
-                    fm = specfun._bessel_j_real(nu, mid)
-                    if flo * fm <= 0:
-                        hi = mid
-                    else:
-                        lo, flo = mid, fm
-                z = 0.5 * (lo + hi)
-        if 0.0 < z < xmax:
-            zeros.append(z)
-        s += 1
-        if s > 100000:  # pragma: no cover
-            break
-    return tuple(zeros)
-
-
-def _extended_sum(panel_values, precision_bits):
-    with mp.workprec(precision_bits):
-        acc = mp.mpf(0)
-        for v in panel_values:
-            acc += v
-        return float(acc)
+    # McMahon's guesses grow with s; the last one here, with b > xmax + 21,
+    # lies past xmax for every nu >= 0
+    b = (np.arange(1, int(xmax / math.pi) + 9) + 0.5 * nu - 0.25) * math.pi
+    z = b - (mu - 1) / (8 * b) - 4 * (mu - 1) * (7 * mu - 31) / (3 * (8 * b) ** 3)
+    z = z[: np.argmax(z >= xmax)]
+    lo, hi = z - 0.4, z + 0.4
+    ok = lo > 0
+    ok[ok] = jv(nu, lo[ok]) * jv(nu, hi[ok]) < 0
+    lo, hi = lo[ok], hi[ok]
+    flo = jv(nu, lo)
+    for _ in range(12):
+        mid = 0.5 * (lo + hi)
+        fm = jv(nu, mid)
+        left = flo * fm <= 0
+        hi = np.where(left, mid, hi)
+        lo = np.where(left, lo, mid)
+        flo = np.where(left, flo, fm)
+    z[ok] = 0.5 * (lo + hi)
+    z = z[(z > 0.0) & (z < xmax)]
+    z.setflags(write=False)
+    return z
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +200,9 @@ def reference_integral(spec: ProblemSpec, cfg: OracleConfig | None = None,
     """(value, err_est) for int_0^1 x^a (1-x)^b f(x) J_nu(w x) dx.
 
     Extra breakpoints (e.g. integrand kinks) may be supplied; they are
-    merged into the oscillation-aligned panel grid.
+    merged into the oscillation-aligned panel grid.  ``f`` is called one
+    Python float at a time, once per node; the rest of the integrand is
+    evaluated on arrays of nodes.
     """
     cfg = cfg or OracleConfig()
     if f is None:
@@ -215,58 +212,37 @@ def reference_integral(spec: ProblemSpec, cfg: OracleConfig | None = None,
     a, b, nu, w = spec.alpha, spec.beta, spec.nu, spec.omega
 
     def kernel(x):
-        return f(x) * specfun._bessel_j_real(nu, w * x)
+        fx = np.fromiter(map(f, x.ravel().tolist()), float, x.size)
+        return fx.reshape(x.shape) * jv(nu, w * x)
 
-    pts = sorted({z / w for z in _bessel_zeros(nu, w)}
-                 | {float(p) for p in breakpoints if 0.0 < float(p) < 1.0})
-    if not pts:
-        pts = [0.5]
-    grid = [0.0] + pts + [1.0]
+    extra = [float(p) for p in breakpoints if 0.0 < float(p) < 1.0]
+    pts = np.union1d(_bessel_zeros(nu, w) / w, extra)
+    if pts.size == 0:
+        pts = np.array([0.5])
+    grid = np.concatenate([[0.0], pts, [1.0]])
 
-    panels = []
-    errs = []
-
-    # left end: u = x
-    x_hi = grid[1]
-    psi_l = lambda u: (1.0 - u) ** b * kernel(u) if u > 0 else 0.0
-    # psi at u == 0 never happens (sigmoid > 0); guard kept for safety
-    val, err = _tanh_sinh(psi_l, x_hi, a, abs_tol=0.0, rel_tol=0.1 * cfg.rel_tol)
-    panels.append(val)
-    errs.append(err)
-
-    # right end: u = 1 - x
-    u_hi = 1.0 - grid[-2]
-    psi_r = lambda u: (1.0 - u) ** a * kernel(1.0 - u)
-    val, err = _tanh_sinh(psi_r, u_hi, b, abs_tol=0.0, rel_tol=0.1 * cfg.rel_tol)
-    panels.append(val)
-    errs.append(err)
+    # ends: u = x on the left, u = 1 - x on the right
+    ends = [
+        _tanh_sinh(lambda u: (1.0 - u) ** b * kernel(u), grid[1], a,
+                   0.1 * cfg.rel_tol),
+        _tanh_sinh(lambda u: (1.0 - u) ** a * kernel(1.0 - u),
+                   1.0 - grid[-2], b, 0.1 * cfg.rel_tol),
+    ]
 
     def integrand(x):
         return x**a * (1.0 - x) ** b * kernel(x)
 
-    # rough pass over the interior for a scale estimate
-    interior = list(zip(grid[1:-2], grid[2:-1]))
-    rough = [abs(v) for v in panels]
-    first_pass = []
-    for lo, hi in interior:
-        v, e = _gk15(integrand, lo, hi)
-        first_pass.append((v, e))
-        rough.append(abs(v))
-    scale = max(sum(rough), 1e-300)
-    abs_tol = cfg.rel_tol * scale / max(1, len(interior))
+    # a rough pass over the interior gives the scale for the tolerance
+    lo, hi = grid[1:-2], grid[2:-1]
+    val, err = _gk15(integrand, lo, hi)
+    scale = max(sum(abs(v) for v, _ in ends) + float(np.abs(val).sum()),
+                1e-300)
+    abs_tol = cfg.rel_tol * scale / max(1, lo.size)
+    val, err = _gk_adaptive(integrand, lo, hi, val, err, abs_tol,
+                            cfg.max_panels)
 
-    budget = [cfg.max_panels]
-    for (lo, hi), (v, e) in zip(interior, first_pass):
-        if e <= abs_tol:
-            panels.append(v)
-            errs.append(e)
-        else:
-            v, e = _gk_adaptive(integrand, lo, hi, abs_tol, budget)
-            panels.append(v)
-            errs.append(e)
-
-    value = _extended_sum(panels, cfg.precision_bits)
-    err_est = sum(errs)
+    value = math.fsum([v for v, _ in ends] + val.tolist())
+    err_est = sum(e for _, e in ends) + float(err.sum())
     if err_est > 100.0 * cfg.rel_tol * scale:
         raise AccuracyError(
             f"oracle integral reached err_est={err_est:.3e} "
@@ -277,6 +253,19 @@ def reference_integral(spec: ProblemSpec, cfg: OracleConfig | None = None,
 # ---------------------------------------------------------------------------
 # Reference moments
 # ---------------------------------------------------------------------------
+
+#: Entries of one cos(2 k theta) block (8 MB of float64): the k batch is
+#: reduced a block at a time, so memory does not grow with the batch.
+_COS_BLOCK = 1 << 20
+
+
+def _cos_blocks(ks, theta):
+    """Yield (slice of ks, cos(2 k theta)) with one leading axis over k."""
+    step = max(1, _COS_BLOCK // max(theta.size, 1))
+    for i in range(0, ks.size, step):
+        sl = slice(i, i + step)
+        yield sl, np.cos(np.multiply.outer(2.0 * ks[sl], theta))
+
 
 def _tstar(k: int, x: float) -> float:
     # stable for x in [0, 1]: T_k*(x) = cos(k arccos(2x - 1))
@@ -291,102 +280,66 @@ def _moment_theta(spec, ks, cfg):
     """theta-form batch: M(k) = 2 (-1)^k int_0^{pi/2} W cos(2k theta) dtheta
     with W = sin^(2a+1) cos^(2b+1) J_nu(w sin^2 theta).  All requested k
     share one panel grid and one set of W evaluations.
+
+    Each end panel refines its tanh-sinh levels until, for every k, the
+    change of the panel's total is at most 0.1 rel_tol times the level's
+    mass h * sum |weight * psi|, accumulated over the levels like the
+    totals.  The mass, unlike a total that nearly cancels, stays above
+    rounding noise.
     """
     a, b, nu, w = spec.alpha, spec.beta, spec.nu, spec.omega
-    kmax = max(ks)
-    q = max(kmax, int(math.ceil(w / 2.0)), 8)
-    half = math.pi / (2.0 * q)          # half-period of cos(2 q theta)
-    zeros = [(2 * i + 1) * math.pi / (4.0 * q) for i in range(q)]
+    ks = np.asarray(ks)
+    q = max(int(ks.max()), int(math.ceil(w / 2.0)), 8)
+    # zeros of cos(2 q theta); tanh-sinh ends cover the first/last few
+    # half-periods so every interior panel sees a smooth W
+    zeros = (2 * np.arange(q) + 1) * math.pi / (4.0 * q)
+    n_end = min(4, (q - 1) // 2)
+    inner = zeros[n_end - 1: q - n_end + 1]
 
-    # tanh-sinh ends cover the first/last few half-periods so every
-    # interior panel sees a smooth W
-    n_end = min(4, (len(zeros) - 1) // 2) if len(zeros) > 2 else 1
-    t_lo = zeros[n_end - 1]
-    t_hi = zeros[-n_end]
-    inner = zeros[n_end - 1: len(zeros) - n_end + 1]
-
-    def w_smooth(theta):
-        s, c = math.sin(theta), math.cos(theta)
-        return s ** (2 * a + 1) * c ** (2 * b + 1) * \
-            specfun._bessel_j_real(nu, w * s * s)
-
-    ks = list(ks)
-    per_k_panels = {k: [] for k in ks}
-    per_k_errs = {k: 0.0 for k in ks}
-
-    # ends: shared tanh-sinh nodes, W cached, per-k level convergence
-    for side in ("left", "right"):
-        if side == "left":
-            length, gamma = t_lo, 2 * a + 1
-
-            def psi_w(u):
-                theta = u
-                sc = math.sin(u) / u if u > 0 else 1.0
-                return sc ** (2 * a + 1) * math.cos(theta) ** (2 * b + 1) * \
-                    specfun._bessel_j_real(nu, w * math.sin(theta) ** 2)
-
-            theta_of = lambda u: u
-        else:
-            length, gamma = math.pi / 2 - t_hi, 2 * b + 1
-
-            def psi_w(u):
-                sc = math.sin(u) / u if u > 0 else 1.0
-                s = math.cos(u)  # sin(theta) with theta = pi/2 - u
-                return sc ** (2 * b + 1) * s ** (2 * a + 1) * \
-                    specfun._bessel_j_real(nu, w * s * s)
-
-            theta_of = lambda u: math.pi / 2 - u
-
-        log_len = math.log(length)
-        node_cache = []   # per level: list of (weight_nof_h, W*psi, theta)
-        totals = {k: 0.0 for k in ks}
-        prevs = {k: math.inf for k in ks}
-        level_err = {k: math.inf for k in ks}
-        for level in range(_TS_MAX_LEVEL + 1):
-            h = _TS_H0 / 2**level
-            rows = []
-            for sig, ls, lj in _ts_raw_nodes(level):
-                u = length * sig
-                logfac = gamma * (log_len + ls) + log_len + lj
-                if logfac < -745.0:
-                    continue
-                rows.append((math.exp(logfac) * psi_w(u), theta_of(u)))
-            node_cache.append(rows)
-            done = True
-            for k in ks:
-                part = sum(wv * math.cos(2 * k * th) for wv, th in rows)
-                totals[k] = (totals[k] if level == 0 else 0.5 * totals[k]) + h * part
-                if level >= 2:
-                    level_err[k] = abs(totals[k] - prevs[k])
-                    if level_err[k] > 0.1 * cfg.rel_tol * abs(totals[k]) + 1e-300:
-                        done = False
-                else:
-                    done = False
-                prevs[k] = totals[k]
-            if done and level >= 3:
-                break
-        for k in ks:
-            per_k_panels[k].append(totals[k])
-            per_k_errs[k] += level_err[k] if math.isfinite(level_err[k]) else 0.0
+    # u is the distance from the end.  Left: theta = u, sin theta = sin u.
+    # Right: theta = pi/2 - u, sin theta = cos u, and cos(2k theta) =
+    # (-1)^k cos(2k u).  np.sinc keeps sin(u)/u -> 1 where deep nodes
+    # underflow u to 0.
+    sides = ((inner[0], 2 * a + 1, 2 * b + 1, np.sin, 1.0),
+             (0.5 * math.pi - inner[-1], 2 * b + 1, 2 * a + 1, np.cos,
+              np.where(ks % 2 == 0, 1.0, -1.0)))
+    end_totals, end_errs = [], []
+    for length, g_end, g_far, sin_theta, sign in sides:
+        totals = prev = np.zeros(ks.size)
+        mass = 0.0
+        for level, (h, u, weight) in enumerate(_ts_levels(length, g_end)):
+            wv = weight * (np.sinc(u / math.pi) ** g_end * np.cos(u) ** g_far
+                           * jv(nu, w * sin_theta(u) ** 2))
+            part = np.empty(ks.size)
+            for sl, c in _cos_blocks(ks, u):
+                part[sl] = c @ wv
+            scale = 0.5 if level else 0.0
+            totals = scale * totals + h * part
+            mass = scale * mass + h * float(np.abs(wv).sum())
+            if level >= 2:
+                err = np.abs(totals - prev)
+                if level >= 3 and np.all(err <= 0.1 * cfg.rel_tol * mass):
+                    break
+            prev = totals
+        end_totals.append(sign * totals)
+        end_errs.append(err)
 
     # interior half-period panels, one K15 evaluation of W per panel
-    for lo, hi in zip(inner[:-1], inner[1:]):
-        half_w = 0.5 * (hi - lo)
-        mid = 0.5 * (lo + hi)
-        thetas = mid + half_w * _GK_NODES
-        wvals = np.array([w_smooth(t) for t in thetas])
-        for k in ks:
-            cvals = np.cos(2 * k * thetas)
-            k15 = half_w * float(_GK_WK @ (wvals * cvals))
-            g7 = half_w * float(_GK_WGAUSS @ (wvals * cvals))
-            per_k_panels[k].append(k15)
-            per_k_errs[k] += abs(k15 - g7)
-
+    half, thetas = _gk_nodes(inner[:-1], inner[1:])
+    s = np.sin(thetas)
+    wvals = s ** (2 * a + 1) * np.cos(thetas) ** (2 * b + 1) * jv(nu, w * s * s)
+    wk = half[:, None] * wvals * _GK_WK
+    wd = half[:, None] * wvals * (_GK_WK - _GK_WGAUSS)
+    left, right = end_totals
     out = {}
-    for k in ks:
-        sign = 2.0 if k % 2 == 0 else -2.0
-        val = sign * _extended_sum(per_k_panels[k], cfg.precision_bits)
-        out[k] = (val, 2.0 * per_k_errs[k])
+    for sl, c in _cos_blocks(ks, thetas):
+        panels = np.einsum("kpj,pj->kp", c, wk)
+        errs = (end_errs[0][sl] + end_errs[1][sl]
+                + np.abs(np.einsum("kpj,pj->kp", c, wd)).sum(axis=1))
+        for k, l, r, row, e in zip(ks[sl].tolist(), left[sl], right[sl],
+                                   panels, errs):
+            total = math.fsum([l, r, *row.tolist()])
+            out[k] = ((2.0 if k % 2 == 0 else -2.0) * total, 2.0 * e)
     return out
 
 

@@ -3,8 +3,10 @@ import pathlib
 import numpy as np
 import pytest
 
-from oscbessel.moments import power_moment
-from oscbessel.oracle import (OracleConfig, reference_integral,
+from scipy.special import jn_zeros
+
+from oscbessel.moments import moment_table, power_moment, starting_moments
+from oscbessel.oracle import (OracleConfig, _bessel_zeros, reference_integral,
                               reference_moment, reference_moments)
 from oscbessel.problem import ProblemSpec
 
@@ -37,6 +39,22 @@ class TestReferenceIntegral:
         tight, _ = reference_integral(spec, OracleConfig(rel_tol=1e-11))
         assert abs(loose - tight) < max(est, 1e-14 * abs(tight))
 
+    def test_integrand_called_with_floats(self):
+        seen = set()
+        spec = ProblemSpec(0.2, 0.4, 0.0, 200.0,
+                           integrand=lambda x: seen.add(type(x)) or 1.0)
+        reference_integral(spec)
+        assert seen == {float}
+
+
+def test_bessel_zeros_match_scipy():
+    # 12 bisection steps on a bracket of width 0.8
+    for nu in (0, 1, 5):
+        got = _bessel_zeros(float(nu), 200.0)
+        want = jn_zeros(nu, len(got))
+        assert want[-1] < 200.0 < jn_zeros(nu, len(got) + 1)[-1]
+        assert np.abs(got - want).max() <= 0.8 / 2**12
+
 
 class TestReferenceMoment:
     def test_k0_matches_integral(self):
@@ -67,11 +85,32 @@ class TestReferenceMoment:
             single, err = reference_moment(spec, k)
             assert abs(batch[k][0] - single) <= 1e-11 * abs(single) + 3 * err
 
+    def test_nearly_cancelling_end_panels(self):
+        # Some of these k have end-panel totals that nearly cancel.  The
+        # bound is criterion-04's.
+        spec = ProblemSpec(0.2, 0.4, 0.0, 20.0)
+        table = moment_table(spec, 32)
+        got = reference_moments(spec, range(10, 18),
+                                OracleConfig(rel_tol=1e-13))
+        for k in range(10, 18):
+            ref, err = got[k]
+            assert abs(table.values[k] - ref) <= 1e-8 * abs(ref) + err, k
+
+    @pytest.mark.parametrize("omega", [2e3, 1e4])
+    @pytest.mark.parametrize("kernel", [(0.2, 0.4, 0.0), (-0.8, -0.9, 2.5)])
+    def test_large_omega_against_closed_form(self, kernel, omega):
+        spec = ProblemSpec(*kernel, omega)
+        want = starting_moments(spec)
+        got = reference_moments(spec, range(6), OracleConfig(rel_tol=1e-13))
+        for k in range(6):
+            ref, err = got[k]
+            assert abs(ref - want[k]) <= err + 1e-12 * abs(want[k]), k
+
 
 def test_oracle_is_independent_of_the_modules_it_judges():
     src = (pathlib.Path(__file__).resolve().parents[1]
            / "src" / "oscbessel" / "oracle.py").read_text()
-    for banned in ("moments", "ccf"):
+    for banned in ("moments", "ccf", "specfun"):
         assert f"from .{banned}" not in src
         assert f"from oscbessel.{banned}" not in src
         assert f"import {banned}" not in src
