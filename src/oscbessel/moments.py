@@ -6,6 +6,8 @@ recursion while k <= w/2, Oliver's boundary-value reformulation beyond
 that, and an endpoint asymptotic expansion for the two trailing boundary
 moments.  The nine-term recurrence ties M(k-4)..M(k+4) with the offsets
 +-3 absent; the symmetry M(-j) = M(j) resolves every negative index.
+Closed forms run in 192-bit mpmath; both recurrences form one float64
+banded LU system, refined with double-double (hi + lo) residuals.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
+from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
@@ -46,15 +50,96 @@ __all__ = [
     "recurrence_residual",
 ]
 
-#: Offsets of the recurrence stencil, in matrix-row order (+-3 are absent).
-RECURRENCE_OFFSETS = (-4, -3, -2, -1, 0, 1, 2, 3, 4)
+#: Offsets d of the recurrence stencil that carry a coefficient (+-3 are
+#: identically zero), in the row order of the coefficient arrays.
+_OFFSETS = (-4, -2, -1, 0, 1, 2, 4)
 
-#: Working precision (bits) of the recurrence pipeline.  The boundary-value
-#: problem carries a homogeneous mode that grows from the left edge of the
-#: Oliver window, so rounding in the seeds is amplified by a few orders of
-#: magnitude before it reaches the decayed large-k moments; double-rounded
-#: seeds would dominate the result there.
+#: Working precision (bits) of the closed-form starting values.  The
+#: boundary-value solve amplifies the rounding of its seeds, so they enter
+#: it as double-double splits of these values, not as doubles.
 _PIPE_PREC = 192
+
+
+# ---------------------------------------------------------------------------
+# Double-double arithmetic on numpy arrays
+# ---------------------------------------------------------------------------
+
+def _two_sum(a, b):
+    """(s, e) with s = fl(a + b) and s + e = a + b exactly (Knuth)."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def _split(a):
+    t = 134217729.0 * a     # 2^27 + 1: Veltkamp's splitter
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+def _two_prod(a, b):
+    """(p, e) with p = fl(a b) and p + e = a b exactly (Dekker, 1971)."""
+    p = a * b
+    ah, al = _split(a)
+    bh, bl = _split(b)
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _dd_add(xh, xl, yh, yl):
+    """Double-double sum, relative error ~3 u^2 even under cancellation."""
+    s, e = _two_sum(xh, yh)
+    t, f = _two_sum(xl, yl)
+    s, e = _two_sum(s, e + t)
+    return _two_sum(s, e + f)
+
+
+def _three_doubles(x: Fraction):
+    """x as hi + mid + lo, exact to 2^-159 relative."""
+    hi = float(x)
+    mid = float(x - Fraction(hi))
+    return hi, mid, float(x - Fraction(hi) - Fraction(mid))
+
+
+@lru_cache(maxsize=64)
+def _quadratics(alpha: float, beta: float, nu: float, omega: float):
+    """(q2, q1, q0) of c_d(m) = q2 m^2 + q1 m + q0 over _OFFSETS; q1 and q0
+    as three (7, 1) arrays of doubles that sum to the exact values."""
+    a, b, n, w = map(Fraction, (alpha, beta, nu, omega))
+    s = a + b + 3
+    q0_2 = s * s - n * n - w * w / 4
+    q0_1 = 4 * n * n + 4 + 4 * (b * b - a * a) - 8 * a + 12 * b
+    q0_0 = (6 * (a * a + b * b) + 4 * a + 12 * b - 4 * a * b + 6
+            - 6 * n * n + 3 * w * w / 8)
+    g = 2 + 4 * (b - a)
+    # rows follow _OFFSETS: d = -4, -2, -1, 0, 1, 2, 4
+    q2 = np.array([[0.0], [1.0], [0.0], [-2.0], [0.0], [1.0], [0.0]])
+    q1 = (0, -2 * s, -g, 0, g, 2 * s, 0)
+    q0 = (w * w / 16, q0_2, q0_1, q0_0, q0_1, q0_2, w * w / 16)
+    return q2, *(np.array([*map(_three_doubles, q)]).T[:, :, None]
+                 for q in (q1, q0))
+
+
+def _row_coefficients(spec: ProblemSpec, m):
+    """c_d(m) for d in _OFFSETS at every row index m, as (hi, lo) arrays.
+
+    Each c_d is a quadratic in m whose coefficients are formed exactly from
+    the (exact double) parameters as rationals and split into three
+    doubles; their products with m are exact two-products, and the eleven
+    pieces are summed error-free by three VecSum passes (Ogita, Rump and
+    Oishi, 2005) before the rounding to hi + lo.  No constant such as 12 b
+    or 3 w^2/8 is rounded on the way, so each coefficient is correct to
+    ~1e-32 relative even where its terms cancel.
+    """
+    q2, q1, q0 = _quadratics(spec.alpha, spec.beta, spec.nu, spec.omega)
+    m = np.asarray(m, dtype=float)
+    pieces = [q2 * p for p in _two_prod(m, m)]
+    for part in q1:
+        pieces += _two_prod(part, m)
+    pieces += [part + 0.0 * m for part in q0]
+    for _ in range(3):
+        for i in range(1, len(pieces)):
+            pieces[i], pieces[i - 1] = _two_sum(pieces[i - 1], pieces[i])
+    return _two_sum(pieces[-1], sum(pieces[:-1]))
 
 
 def recurrence_coefficients(spec: ProblemSpec, k: int) -> dict:
@@ -62,44 +147,11 @@ def recurrence_coefficients(spec: ProblemSpec, k: int) -> dict:
 
     Mapping d -> c_d for d in {-4, -2, -1, 0, 1, 2, 4}; the d = +-3 slots
     of the stencil are identically zero.  The set is symmetric under
-    (k, d) -> (-k, -d), consistent with M(-j) = M(j).
+    (k, d) -> (-k, -d), consistent with M(-j) = M(j).  Values are the
+    double (hi) parts of the exact coefficients.
     """
-    a, b, n, w = spec.alpha, spec.beta, spec.nu, spec.omega
-    kk = float(k)
-    return {
-        4: w * w / 16.0,
-        -4: w * w / 16.0,
-        2: (a + b + kk + 3.0) ** 2 - n * n - w * w / 4.0,
-        -2: (a + b - kk + 3.0) ** 2 - n * n - w * w / 4.0,
-        1: (4.0 * n * n + 2.0 * kk + 4.0 + 4.0 * (b * b - a * a)
-            + 4.0 * kk * (b - a) - 8.0 * a + 12.0 * b),
-        -1: (4.0 * n * n - 2.0 * kk + 4.0 + 4.0 * (b * b - a * a)
-             - 4.0 * kk * (b - a) - 8.0 * a + 12.0 * b),
-        0: (6.0 * (a * a + b * b) + 4.0 * a + 12.0 * b - 4.0 * a * b
-            - 2.0 * kk * kk + 6.0 - 6.0 * n * n + 3.0 * w * w / 8.0),
-    }
-
-
-def _mp_coefficients(spec: ProblemSpec, k: int) -> dict:
-    """The recurrence coefficients as exact-input mpf values.
-
-    Assumes an enclosing mp.workprec context.
-    """
-    a, b = mp.mpf(spec.alpha), mp.mpf(spec.beta)
-    n, w = mp.mpf(spec.nu), mp.mpf(spec.omega)
-    kk = mp.mpf(k)
-    return {
-        4: w * w / 16.0,
-        -4: w * w / 16.0,
-        2: (a + b + kk + 3.0) ** 2 - n * n - w * w / 4.0,
-        -2: (a + b - kk + 3.0) ** 2 - n * n - w * w / 4.0,
-        1: (4.0 * n * n + 2.0 * kk + 4.0 + 4.0 * (b * b - a * a)
-            + 4.0 * kk * (b - a) - 8.0 * a + 12.0 * b),
-        -1: (4.0 * n * n - 2.0 * kk + 4.0 + 4.0 * (b * b - a * a)
-             - 4.0 * kk * (b - a) - 8.0 * a + 12.0 * b),
-        0: (6.0 * (a * a + b * b) + 4.0 * a + 12.0 * b - 4.0 * a * b
-            - 2.0 * kk * kk + 6.0 - 6.0 * n * n + 3.0 * w * w / 8.0),
-    }
+    hi, _ = _row_coefficients(spec, [k])
+    return dict(zip(_OFFSETS, hi[:, 0].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -167,59 +219,12 @@ def _starting_mpf(spec: ProblemSpec, count: int):
     return out
 
 
-def _starting_with_errors(spec: ProblemSpec, count: int):
-    return [(float(v), e) for v, e in _starting_mpf(spec, count)]
-
-
 def starting_moments(spec: ProblemSpec, count: int = 6):
     """M(0)..M(count-1) from the power-basis expansion of T_k*."""
     if not 1 <= count <= 8:
         raise DomainError("count must be between 1 and 8")
-    return [v for v, _ in _starting_with_errors(spec, count)]
+    return [float(v) for v, _ in _starting_mpf(spec, count)]
 
-
-# ---------------------------------------------------------------------------
-# Forward recursion
-# ---------------------------------------------------------------------------
-
-def _forward_mpf(spec: ProblemSpec, start, start_errs, k_max: int):
-    """Forward recursion in extended precision: mpf list and float errors."""
-    with mp.workprec(_PIPE_PREC):
-        M = [mp.mpf(v) for v in start] + [mp.mpf(0)] * (k_max - 5)
-        E = np.zeros(k_max + 1)
-        E[:6] = start_errs
-        # Solve the recurrence at index k for M(k+4); negative indices at
-        # k = 2, 3 fold onto their mirror images.
-        for k in range(2, k_max - 3):
-            c = _mp_coefficients(spec, k)
-            acc = mp.mpf(0)
-            escale = 0.0
-            ein = 0.0
-            for d, cd in c.items():
-                if d == 4:
-                    continue
-                q = abs(k + d)
-                acc += cd * M[q]
-                escale += abs(float(cd * M[q]))
-                ein = max(ein, E[q])
-            M[k + 4] = -acc / c[4]
-            E[k + 4] = ein + 1e-15 * escale / float(c[4])
-    return M, E
-
-
-def forward_moments(spec: ProblemSpec, start, k_max: int) -> np.ndarray:
-    """M(0)..M(k_max) by forward recursion from the six starting values.
-
-    Stable while k <= omega/2; past that the dominant homogeneous solution
-    takes over and Oliver's algorithm must be used instead.
-    """
-    start = np.asarray(start, dtype=float)
-    if start.shape != (6,):
-        raise DomainError("start must hold exactly M(0)..M(5)")
-    if k_max < 5:
-        raise DomainError("k_max must be at least 5")
-    M, _ = _forward_mpf(spec, list(start), np.zeros(6), k_max)
-    return np.array([float(v) for v in M])
 
 
 # ---------------------------------------------------------------------------
@@ -335,133 +340,122 @@ def end_moment_asymptotic(spec: ProblemSpec, j: int, max_terms: int = 8,
     return total, err
 
 
+
 # ---------------------------------------------------------------------------
-# Oliver's algorithm
+# The recurrence as one banded system: forward rows and Oliver rows
 # ---------------------------------------------------------------------------
+
+#: Lower and upper bandwidth: a forward row m has M(m+4) on the diagonal
+#: and reaches eight columns left; an Oliver row has M(m+2) there, with
+#: entries two columns right and six left.
+_KL, _KU = 8, 2
+_MAX_REFINE = 4
+
 
 @dataclass
 class BandedSystem:
-    """Linear system of recurrence rows for unknowns M(k_lo)..M(k_hi).
+    """Recurrence rows m[i] over the unknowns M(k_lo)..M(k_hi).
 
-    ``rows[i]`` holds the stencil coefficients of the recurrence at index
-    m = k_lo - 2 + i over offsets -4..4 (the +-3 entries exactly zero);
-    boundary values are already folded into ``rhs``.  Entries are mpf so
-    the elimination can run above double precision.
+    ``coef`` holds c_d(m) over _OFFSETS as (hi, lo) arrays of shape
+    (7, dimension); ``known`` holds M(0)..M(k_hi+2) as (hi, lo) arrays,
+    boundary values set and zero at the unknowns.
     """
 
     k_lo: int
     k_hi: int
-    rows: np.ndarray
-    rhs: np.ndarray
-    precision: int = _PIPE_PREC
-    bandwidth: int = 4
+    m: np.ndarray
+    coef: tuple
+    known: tuple
     dimension: int = field(init=False)
 
     def __post_init__(self):
         self.dimension = self.k_hi - self.k_lo + 1
+        #: index |m + d| of every stencil entry, shape (7, dimension)
+        self.index = np.abs(self.m + np.array(_OFFSETS)[:, None])
+
+    def _residual(self, vh, vl):
+        """(-sum_d c_d M(|m+d|) in double-double, largest |term|) per row,
+        for M(0)..M(k_hi+2) given as (vh, vl)."""
+        (ch, cl), vh, vl = self.coef, vh[self.index], vl[self.index]
+        th, tl = _two_prod(ch, vh)
+        th, tl = _two_sum(th, tl + (ch * vl + cl * vh))     # c_d M, as dd
+        rh, rl = -th[0], -tl[0]
+        for d in range(1, len(_OFFSETS)):
+            rh, rl = _dd_add(rh, rl, -th[d], -tl[d])
+        return rh, np.abs(th).max(axis=0)
 
     def solve(self):
-        """Banded Gaussian elimination with partial pivoting, in mpf.
+        """(hi, lo) arrays of the unknowns.
 
-        Column j of the matrix holds M(k_lo + j); equation i sits at
-        m = k_lo - 2 + i, so the stencil occupies columns i-6 .. i+2 and
-        pivoting fills in at most six more superdiagonals.  Row storage
-        windows are column-aligned: R[i][d] is the entry in column
-        i - 6 + d, d = 0..14.
+        The hi parts of the coefficients are factored once by LAPACK's
+        banded LU with partial pivoting.  Each step forms the residual in
+        double-double and corrects with the factors: iterative refinement
+        with extra-precise residuals (Demmel et al., ACM TOMS 32, 2006).
+        It stops once a step leaves every hi part unchanged, or after
+        _MAX_REFINE steps.  The last residual is the audit: a row above
+        1e-10 of its largest term raises AccuracyError.
         """
+        from scipy.linalg.lapack import dgbtrf, dgbtrs
+
         n = self.dimension
-        with mp.workprec(self.precision):
-            zero = mp.mpf(0)
-            R = [[zero] * 15 for _ in range(n)]
-            b = [mp.mpf(v) for v in self.rhs]
-            for i in range(n):
-                m = self.k_lo - 2 + i
-                for idx, d in enumerate(RECURRENCE_OFFSETS):
-                    c = self.rows[i, idx]
-                    if c == 0:
-                        continue
-                    q = abs(m + d)
-                    if self.k_lo <= q <= self.k_hi:
-                        jcol = q - self.k_lo
-                        R[i][jcol - i + 6] += c
-            for k in range(n):
-                rmax = min(k + 6, n - 1)
-                p = k
-                best = abs(R[k][6])
-                for r in range(k + 1, rmax + 1):
-                    v = abs(R[r][k - r + 6])
-                    if v > best:
-                        best, p = v, r
-                if best == 0:
-                    raise SingularSystemError("zero pivot column", row=k)
-                if p != k:
-                    for c in range(k, min(k + 8, n - 1) + 1):
-                        dk, dp = c - k + 6, c - p + 6
-                        R[k][dk], R[p][dp] = R[p][dp], R[k][dk]
-                    b[k], b[p] = b[p], b[k]
-                piv = R[k][6]
-                for r in range(k + 1, rmax + 1):
-                    f = R[r][k - r + 6]
-                    if f == 0:
-                        continue
-                    f /= piv
-                    R[r][k - r + 6] = zero
-                    for c in range(k + 1, min(k + 8, n - 1) + 1):
-                        v = R[k][c - k + 6]
-                        if v:
-                            R[r][c - r + 6] -= f * v
-                    b[r] -= f * b[k]
-            x = [zero] * n
-            for i in range(n - 1, -1, -1):
-                acc = b[i]
-                for c in range(i + 1, min(i + 8, n - 1) + 1):
-                    v = R[i][c - i + 6]
-                    if v:
-                        acc -= v * x[c]
-                x[i] = acc / R[i][6]
-        return x
+        rows = np.broadcast_to(np.arange(n), self.index.shape)
+        cols = self.index - self.k_lo
+        inside = (cols >= 0) & (cols < n)
+        ab = np.zeros((2 * _KL + _KU + 1, n))
+        np.add.at(ab, (_KL + _KU + rows[inside] - cols[inside], cols[inside]),
+                  self.coef[0][inside])
+        lu, piv, info = dgbtrf(ab, _KL, _KU)
+        if info > 0:
+            raise SingularSystemError("zero pivot column", row=info - 1)
+        vh, vl = (v.copy() for v in self.known)
+        unknown = slice(self.k_lo, self.k_hi + 1)
+        for step in range(_MAX_REFINE + 1):
+            r, scale = self._residual(vh, vl)
+            delta, _ = dgbtrs(lu, _KL, _KU, r, piv)
+            new, vl[unknown] = _dd_add(vh[unknown], vl[unknown], delta, 0.0)
+            if step and np.array_equal(new, vh[unknown]):
+                break
+            vh[unknown] = new
+        bad = ~(np.abs(r) <= 1e-10 * scale)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise AccuracyError(
+                f"row {i} residual {abs(r[i]):.3e} exceeds 1e-10 of scale",
+                err_est=float(abs(r[i]) / scale[i]))
+        return vh[unknown], vl[unknown]
 
 
-def _build_oliver_system(spec: ProblemSpec, k_lo: int, k_hi: int,
-                         boundary: dict) -> BandedSystem:
-    """System over M(k_lo..k_hi); ``boundary`` maps outside indices to mpf."""
-    n = k_hi - k_lo + 1
-    rows = np.empty((n, 9), dtype=object)
-    rhs = [mp.mpf(0)] * n
-    with mp.workprec(_PIPE_PREC):
-        for i in range(n):
-            m = k_lo - 2 + i
-            c = _mp_coefficients(spec, m)
-            for idx, d in enumerate(RECURRENCE_OFFSETS):
-                rows[i, idx] = c.get(d, 0)
-                if d not in c:
-                    continue
-                q = abs(m + d)
-                if not k_lo <= q <= k_hi:
-                    rhs[i] -= c[d] * boundary[q]
-    return BandedSystem(k_lo, k_hi, rows, np.array(rhs, dtype=object))
+def _recurrence_system(spec: ProblemSpec, k_lo: int, k_switch: int,
+                       k_hi: int, boundary: dict) -> BandedSystem:
+    """The hybrid's equations over the unknowns M(k_lo..k_hi), k_lo >= 6:
+    forward rows m = k_lo-4 .. k_switch-4 (the recursion up to M(k_switch)),
+    then Oliver rows m = k_switch-1 .. k_hi-2.  ``boundary`` maps every
+    index the rows reach outside k_lo..k_hi to its (hi, lo) value.
+    """
+    m = np.concatenate([np.arange(k_lo - 4, k_switch - 3),
+                        np.arange(k_switch - 1, k_hi - 1)])
+    known = (np.zeros(k_hi + 3), np.zeros(k_hi + 3))
+    for q, (hi, lo) in boundary.items():
+        known[0][q], known[1][q] = hi, lo
+    return BandedSystem(k_lo, k_hi, m, _row_coefficients(spec, m), known)
 
 
-def _oliver_mpf(spec: ProblemSpec, k_lo: int, k_hi: int, boundary: dict):
-    system = _build_oliver_system(spec, k_lo, k_hi, boundary)
-    sol = system.solve()
-    # Residual audit: each row must be satisfied to rounding.
-    with mp.workprec(_PIPE_PREC):
-        for i in range(system.dimension):
-            m = k_lo - 2 + i
-            acc = -system.rhs[i]
-            scale = abs(float(system.rhs[i]))
-            for idx, d in enumerate(RECURRENCE_OFFSETS):
-                c = system.rows[i, idx]
-                q = abs(m + d)
-                if c != 0 and k_lo <= q <= k_hi:
-                    acc += c * sol[q - k_lo]
-                    scale = max(scale, abs(float(c * sol[q - k_lo])))
-            if scale > 0.0 and abs(float(acc)) > 1e-10 * scale:
-                raise AccuracyError(
-                    f"row {i} residual {float(abs(acc)):.3e} exceeds "
-                    f"1e-10 of scale", err_est=float(abs(acc)) / scale)
-    return sol
+def forward_moments(spec: ProblemSpec, start, k_max: int) -> np.ndarray:
+    """M(0)..M(k_max) by forward recursion from the six starting values.
+
+    Stable while k <= omega/2; past that the dominant homogeneous solution
+    takes over and Oliver's algorithm must be used instead.
+    """
+    start = np.asarray(start, dtype=float)
+    if start.shape != (6,):
+        raise DomainError("start must hold exactly M(0)..M(5)")
+    if k_max < 5:
+        raise DomainError("k_max must be at least 5")
+    if k_max == 5:
+        return start.copy()
+    boundary = {q: (v, 0.0) for q, v in enumerate(start.tolist())}
+    xh, _ = _recurrence_system(spec, 6, k_max, k_max, boundary).solve()
+    return np.concatenate([start, xh])
 
 
 def oliver_moments(spec: ProblemSpec, k_lo: int, k_hi: int,
@@ -475,15 +469,11 @@ def oliver_moments(spec: ProblemSpec, k_lo: int, k_hi: int,
     end2 = np.asarray(end2, dtype=float)
     if start6.shape != (6,) or end2.shape != (2,):
         raise DomainError("need six starting and two ending boundary values")
-    if k_hi < k_lo:
-        raise DomainError("k_hi must be >= k_lo")
-    boundary = {}
-    for i, v in enumerate(start6):
-        boundary[abs(k_lo - 6 + i)] = mp.mpf(float(v))
-    boundary[k_hi + 1] = mp.mpf(float(end2[0]))
-    boundary[k_hi + 2] = mp.mpf(float(end2[1]))
-    sol = _oliver_mpf(spec, k_lo, k_hi, boundary)
-    return np.array([float(v) for v in sol])
+    if not 6 <= k_lo <= k_hi:
+        raise DomainError("need 6 <= k_lo <= k_hi")
+    index = [*range(k_lo - 6, k_lo), k_hi + 1, k_hi + 2]
+    boundary = {q: (v, 0.0) for q, v in zip(index, [*start6, *end2])}
+    return _recurrence_system(spec, k_lo, k_lo - 1, k_hi, boundary).solve()[0]
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +506,8 @@ def moment_table(spec: ProblemSpec, N: int) -> MomentTable:
     Closed form for k <= 5, forward recursion to k_switch = clamp of
     floor(omega/2) into [5, N], then Oliver's algorithm up to N seeded by
     asymptotic end moments at N+1 and N+2 (oracle fallback when the
-    expansion is out of range or too coarse).
+    expansion is out of range or too coarse).  Both recurrences are solved
+    together as one banded system.
     """
     if N < 0:
         raise DomainError("N must be nonnegative")
@@ -527,39 +518,42 @@ def moment_table(spec: ProblemSpec, N: int) -> MomentTable:
         errs = np.array([e for _, e in pairs])
         return MomentTable(spec, vals, ("closed-form",) * (N + 1), errs)
     k_switch = max(5, min(N, int(spec.omega // 2)))
-    vals = np.zeros(N + 1)
-    errs = np.zeros(N + 1)
-    fwd, fwd_errs = _forward_mpf(spec, [v for v, _ in pairs],
-                                 [e for _, e in pairs], k_switch)
-    vals[: k_switch + 1] = [float(v) for v in fwd]
-    errs[: k_switch + 1] = fwd_errs
-    meth = ["closed-form"] * 6 + ["forward"] * (k_switch - 5)
+    boundary = {q: (float(v), float(v - float(v)))
+                for q, (v, _) in enumerate(pairs)}
+    k_hi = k_switch
+    ends = []
     if N > k_switch:
         # The window's upper edge is pushed out to where the endpoint
         # expansion is trustworthy, so the two end moments never have to
         # come from a double-limited quadrature when N sits below that;
         # the surplus entries are simply discarded.
         k_hi = max(N, int(math.ceil(max(50.0, 2.0 * spec.omega))))
-        end_vals = []
-        end_errs = []
         for jj in (k_hi + 1, k_hi + 2):
             try:
-                v, e = end_moment_asymptotic(spec, jj)
+                v, e = end_moment_asymptotic(spec, jj, max_terms=12)
             except (DomainError, AccuracyError):
                 v, e = reference_moment(spec, jj)
-            end_vals.append(v)
-            end_errs.append(e)
-        k_lo = k_switch + 1
-        boundary = {abs(k_lo - 6 + i): fwd[k_switch - 5 + i]
-                    for i in range(6)}
-        boundary[k_hi + 1] = mp.mpf(end_vals[0])
-        boundary[k_hi + 2] = mp.mpf(end_vals[1])
-        sol = _oliver_mpf(spec, k_lo, k_hi, boundary)
-        vals[k_lo:] = [float(v) for v in sol[: N + 1 - k_lo]]
-        base = max(float(max(fwd_errs[k_switch - 5: k_switch + 1])),
-                   max(end_errs))
-        scale = max(np.abs(vals[k_switch - 5:]).max(), abs(end_vals[0]))
-        errs[k_lo:] = base + 1e-14 * scale
+            boundary[jj] = (v, 0.0)
+            ends.append((v, e))
+    system = _recurrence_system(spec, 6, k_switch, k_hi, boundary)
+    vals = np.concatenate([[float(v) for v, _ in pairs],
+                           system.solve()[0][: N - 5]])
+
+    # Forward error estimate: each new entry inherits the largest error
+    # it is formed from, plus 1e-15 of its terms' scale over c_4.
+    nf = k_switch - 5
+    terms = np.abs(system.coef[0][:6, :nf] * vals[system.index[:6, :nf]])
+    steps = (1e-15 * terms.sum(axis=0) / system.coef[0][6, 0]).tolist()
+    E = [e for _, e in pairs] + [0.0] * nf
+    for k, step in enumerate(steps, start=2):
+        E[k + 4] = max(E[abs(k - 4)], E[k - 2], E[k - 1], E[k], E[k + 1],
+                       E[k + 2]) + step
+    errs = np.array(E + [0.0] * (N - k_switch))
+    meth = ["closed-form"] * 6 + ["forward"] * nf
+    if N > k_switch:
+        base = max(max(E[k_switch - 5:]), ends[0][1], ends[1][1])
+        scale = max(np.abs(vals[k_switch - 5:]).max(), abs(ends[0][0]))
+        errs[k_switch + 1:] = base + 1e-14 * scale
         meth += ["oliver"] * (N - k_switch)
     return MomentTable(spec, vals, tuple(meth), errs)
 

@@ -148,13 +148,16 @@ def _ts_levels(length, gamma):
 
 
 def _tanh_sinh(psi, length, gamma, rel_tol):
-    """integral_0^length u^gamma psi(u) du, singularity (if any) at u = 0."""
-    total = prev = 0.0
+    """integral_0^length u^gamma psi(u) du, singularity (if any) at u = 0;
+    stops once a level changes it by <= rel_tol of the level's mass."""
+    total = prev = mass = 0.0
     for level, (h, u, weight) in enumerate(_ts_levels(length, gamma)):
-        total = (0.5 * total if level else 0.0) + h * float(weight @ psi(u))
+        v = psi(u)
+        total = (0.5 * total if level else 0.0) + h * float(weight @ v)
+        mass = (0.5 * mass if level else 0.0) + h * float(weight @ np.abs(v))
         if level >= 2:
             err = abs(total - prev)
-            if err <= rel_tol * abs(total):
+            if err <= rel_tol * mass:
                 break
         prev = total
     return total, err

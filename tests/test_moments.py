@@ -1,12 +1,15 @@
 import math
+import time
 
 import mpmath as mp
 import numpy as np
 import pytest
 
+from oscbessel import moments
 from oscbessel.errors import DomainError
-from oscbessel.moments import (MomentTable, _starting_mpf,
-                               end_moment_asymptotic, forward_moments,
+from oscbessel.moments import (_OFFSETS, MomentTable, _row_coefficients,
+                               _starting_mpf, end_moment_asymptotic,
+                               forward_moments,
                                moment_table, oliver_moments, power_moment,
                                recurrence_coefficients, recurrence_residual,
                                starting_moments)
@@ -87,6 +90,87 @@ SERIES_STARTS = {
 }
 
 
+#: M(k) at k = 6, k_switch, k_switch + 1, N/2 and N from the 192-bit
+#: pipeline that the float64 solve replaced (forward recursion and Oliver's
+#: banded elimination in mpf, end moments from the 12-term expansion), as
+#: 25-digit strings, on the cold-integral kernels and two warm ones.
+PINNED_192_BIT = {
+    ((0.2, 0.4, 0.0, 20.0), 256): {
+        6: "-1.712765701425274925415005e-2",
+        10: "5.520343497835602519588058e-2",
+        11: "-4.105607491966874167811945e-3",
+        128: "-3.368968635831783805466866e-6",
+        256: "-6.368069201046179649214223e-7",
+    },
+    ((0.2, 0.4, 2.5, 200.0), 1024): {
+        6: "4.595818056201563315774853e-4",
+        100: "2.858119140070058882889856e-3",
+        101: "-6.108160980441196027738643e-3",
+        512: "-1.883485382168757801833754e-10",
+        1024: "-2.706869541603519550057835e-11",
+    },
+    ((0.2, 0.4, 0.0, 200.0), 4096): {
+        6: "1.393101359157788773378105e-3",
+        100: "3.033934596407456413953827e-3",
+        101: "5.98910865389690735476844e-3",
+        2048: "-4.299131981706024930507332e-9",
+        4096: "-8.145891411326382715491381e-10",
+    },
+    ((0.2, 0.4, 0.0, 1000.0), 256): {
+        6: "1.967194290677578176209926e-4",
+        128: "-4.837227895952688246380538e-4",
+        256: "-4.830894260724624830049985e-4",
+    },
+    ((-0.5, -0.5, 1.0, 200.0), 256): {
+        6: "3.771248970352460538863863e-2",
+        100: "-2.265683199281979146211165e-2",
+        101: "7.184990479212746504505564e-3",
+        128: "-8.374009428688539722491096e-9",
+        256: "-1.926709752834424528790605e-54",
+    },
+    ((-0.8, -0.9, 2.5, 200.0), 256): {
+        6: "3.262082568767799492454682e-1",
+        100: "1.634536926287629044723469e-1",
+        101: "1.189969760062168129524449e-1",
+        128: "1.40668406210357624083903e-1",
+        256: "1.22499166665127838486798e-1",
+    },
+    ((-0.5, 0.3, 1.0, 100.0), 4096): {
+        6: "2.648680913051899825955163e-2",
+        50: "1.689414750678401469460117e-2",
+        51: "-1.56478677556403757168196e-2",
+        2048: "5.255791458932780821792679e-11",
+        4096: "8.668919675749450344196067e-12",
+    },
+    ((0.6, -0.4, 2.5, 50.0), 4096): {
+        6: "1.092255685136020987126545e-3",
+        25: "-3.220375900941345156347676e-2",
+        26: "-5.141956196533405663731013e-3",
+        2048: "-6.046675393267627153045209e-7",
+        4096: "-2.632042568025363223337788e-7",
+    },
+}
+
+
+def mp_coefficients(spec, k):
+    """The recurrence coefficients at 256 bits, from their literal formulas."""
+    with mp.workprec(256):
+        a, b, n, w = (mp.mpf(v)
+                      for v in (spec.alpha, spec.beta, spec.nu, spec.omega))
+        k = mp.mpf(k)
+        return {
+            4: w * w / 16, -4: w * w / 16,
+            2: (a + b + k + 3) ** 2 - n * n - w * w / 4,
+            -2: (a + b - k + 3) ** 2 - n * n - w * w / 4,
+            1: (4 * n * n + 2 * k + 4 + 4 * (b * b - a * a) + 4 * k * (b - a)
+                - 8 * a + 12 * b),
+            -1: (4 * n * n - 2 * k + 4 + 4 * (b * b - a * a)
+                 - 4 * k * (b - a) - 8 * a + 12 * b),
+            0: (6 * (a * a + b * b) + 4 * a + 12 * b - 4 * a * b
+                - 2 * k * k + 6 - 6 * n * n + 3 * w * w / 8),
+        }
+
+
 def nine_point_residual(spec, m, values):
     coeffs = recurrence_coefficients(spec, m)
     acc = 0.0
@@ -96,6 +180,30 @@ def nine_point_residual(spec, m, values):
         acc += term
         scale = max(scale, abs(term))
     return abs(acc) / scale
+
+
+class TestRowCoefficients:
+    @pytest.mark.parametrize("kernel", [(0.2, 0.4, 2.5, 200.0),
+                                        (0.6, -0.4, 2.5, 1e4),
+                                        (-0.8, -0.9, 7.0, 1e5)])
+    def test_exact_to_double_double(self, kernel):
+        # Non-dyadic parameters: a constant such as 12 b or 3 w^2/8 rounded
+        # to double would show at 1e-17 relative or worse.  The m sample
+        # includes the rows where c_0 and c_+-2 nearly vanish.
+        spec = ProblemSpec(*kernel)
+        w = spec.omega
+        near = np.rint(w * np.array([0.25, math.sqrt(3.0) / 4.0, 0.5]))
+        m = np.unique(np.concatenate([
+            np.arange(300), np.arange(0, 200001, 997),
+            (near[:, None] + np.arange(-40, 41)).ravel()]))
+        m = m[(m >= 0) & (m <= 2e5)].astype(int)
+        hi, lo = _row_coefficients(spec, m)
+        with mp.workprec(256):
+            for j, mj in enumerate(m.tolist()):
+                want = mp_coefficients(spec, mj)
+                for i, d in enumerate(_OFFSETS):
+                    got = mp.mpf(hi[i, j]) + mp.mpf(lo[i, j])
+                    assert abs(got - want[d]) <= 1e-30 * abs(want[d]), (mj, d)
 
 
 class TestPowerMoment:
@@ -248,6 +356,15 @@ class TestOliverMoments:
         out = oliver_moments(spec, 10, 30, np.zeros(6), np.zeros(2))
         assert np.all(out == 0.0)
 
+    def test_input_validation(self):
+        spec = ProblemSpec(0.2, 0.4, 1.0, 20.0)
+        with pytest.raises(DomainError):
+            oliver_moments(spec, 5, 30, np.zeros(6), np.zeros(2))   # M(-1)
+        with pytest.raises(DomainError):
+            oliver_moments(spec, 10, 9, np.zeros(6), np.zeros(2))
+        with pytest.raises(DomainError):
+            oliver_moments(spec, 10, 30, np.zeros(5), np.zeros(2))
+
 
 class TestMomentTable:
     def test_tiny_table_is_closed_form(self):
@@ -290,6 +407,51 @@ class TestMomentTable:
         spec = ProblemSpec(0.2, 0.4, 0.0, 2000.0)
         table = moment_table(spec, 256)
         ks = [0, 5, 100, 256]
+        refs, errs = oracle_vals(spec, ks)
+        for k in ks:
+            assert abs(table.values[k] - refs[k]) <= (
+                1e-8 * abs(refs[k]) + errs[k]), k
+
+    @pytest.mark.parametrize("kernel, N", list(PINNED_192_BIT))
+    def test_matches_192_bit_pipeline(self, kernel, N):
+        table = moment_table(ProblemSpec(*kernel), N)
+        peak = np.abs(table.values).max()
+        with mp.workprec(300):
+            for k, pin in PINNED_192_BIT[kernel, N].items():
+                want = mp.mpf(pin)
+                diff = float(abs(table.values[k] - want))
+                if abs(want) > 1e-27 * peak:
+                    assert diff <= 4e-16 * float(abs(want)), k
+                else:
+                    assert diff <= table.err_est[k], k
+
+    @pytest.mark.parametrize("kernel", [(0.2, 0.4, 1.0, 20.0),
+                                        (0.2, 0.4, 1.0, 200.0),
+                                        (-0.5, -0.5, 2.5, 20.0)])
+    def test_end_moments_without_oracle(self, kernel, monkeypatch):
+        # The 12-term endpoint expansion converges here; 8 terms did not.
+        def refuse(*args, **kwargs):
+            raise AssertionError("end moment fell back to the oracle")
+
+        monkeypatch.setattr(moments, "reference_moment", refuse)
+        spec = ProblemSpec(*kernel)
+        table = moment_table(spec, 256)
+        oracle = reference_moments(spec, range(257), CFG)
+        for k in range(257):
+            ref, err = oracle[k]
+            diff = abs(table.values[k] - ref)
+            assert diff <= 1e-8 * abs(ref) + err, k      # criterion-04
+            if err < 1e-9 * abs(ref):
+                assert diff <= 1e-8 * abs(ref), k
+
+    @pytest.mark.parametrize("kernel, N", [((0.6, -0.4, 2.5, 1e4), 25000),
+                                           ((0.2, 0.4, 0.0, 1e4), 4096)])
+    def test_omega_1e4_against_oracle(self, kernel, N):
+        spec = ProblemSpec(*kernel)
+        t0 = time.perf_counter()
+        table = moment_table(spec, N)
+        assert time.perf_counter() - t0 < 1.0
+        ks = [k for k in (0, 5, 1000, 4096, 5000, 20000, 25000) if k <= N]
         refs, errs = oracle_vals(spec, ks)
         for k in ks:
             assert abs(table.values[k] - refs[k]) <= (

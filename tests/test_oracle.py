@@ -1,4 +1,5 @@
 import pathlib
+import time
 
 import numpy as np
 import pytest
@@ -95,6 +96,20 @@ class TestReferenceMoment:
         for k in range(10, 18):
             ref, err = got[k]
             assert abs(table.values[k] - ref) <= 1e-8 * abs(ref) + err, k
+
+    def test_x_path_end_panel_that_cancels(self):
+        # An end panel of k = 11 nearly cancels; stopping relative to its
+        # own total ran every tanh-sinh level (0.36 s against 4-6 ms for
+        # k = 10 and 12), stopping relative to its mass does not.
+        spec = ProblemSpec(0.2, 0.4, 0.0, 20.0)
+        cfg = OracleConfig(rel_tol=1e-13)
+        reference_moment(spec, 10, cfg, force="x")     # warm the node caches
+        t0 = time.perf_counter()
+        vx, ex = reference_moment(spec, 11, cfg, force="x")
+        elapsed = time.perf_counter() - t0
+        vt, et = reference_moment(spec, 11, cfg, force="theta")
+        assert elapsed < 0.05
+        assert abs(vx - vt) <= ex + et
 
     @pytest.mark.parametrize("omega", [2e3, 1e4])
     @pytest.mark.parametrize("kernel", [(0.2, 0.4, 0.0), (-0.8, -0.9, 2.5)])
