@@ -3,7 +3,8 @@
 Q[f] = sum_k b_k M(k): interpolate f at the Clenshaw-Curtis points,
 integrate the weighted oscillatory kernel exactly through the moment
 table.  Moment tables are f-independent, so they are cached per
-(alpha, beta, nu, omega) and N-sweeps reuse the largest one by prefix.
+(alpha, beta, nu, omega), up to _CACHE_CAPACITY kernels with the least
+recently used dropped first, and N-sweeps reuse the largest one by prefix.
 """
 
 from __future__ import annotations
@@ -51,6 +52,10 @@ class ConvergenceRecord:
     abs_err: float
 
 
+#: Number of kernels whose tables stay cached; past it the least recently
+#: used is dropped.
+_CACHE_CAPACITY = 16
+#: moment_key() -> MomentTable, in order of last use (oldest first).
 _TABLE_CACHE: dict = {}
 _CACHE_LOCK = threading.Lock()
 
@@ -59,16 +64,19 @@ def _cached_table(spec: ProblemSpec, N: int) -> MomentTable:
     """Largest-known moment table for the spec's weight/kernel, >= N."""
     key = spec.moment_key()
     with _CACHE_LOCK:
-        table = _TABLE_CACHE.get(key)
+        table = _TABLE_CACHE.pop(key, None)
+        if table is not None:
+            _TABLE_CACHE[key] = table       # now the most recently used
     if table is not None and table.N >= N:
         return table
     table = moment_table(spec, N)
     with _CACHE_LOCK:
-        current = _TABLE_CACHE.get(key)
-        if current is None or current.N < table.N:
-            _TABLE_CACHE[key] = table
-        else:
+        current = _TABLE_CACHE.pop(key, None)
+        if current is not None and current.N >= table.N:
             table = current
+        _TABLE_CACHE[key] = table
+        while len(_TABLE_CACHE) > _CACHE_CAPACITY:
+            del _TABLE_CACHE[next(iter(_TABLE_CACHE))]
     return table
 
 

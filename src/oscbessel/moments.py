@@ -1,13 +1,15 @@
 """Modified Chebyshev moments of the weighted Bessel kernel.
 
 Computes M(k) = int_0^1 x^a (1-x)^b T_k*(x) J_nu(w x) dx for k = 0..N by a
-hybrid strategy: closed-form (Gamma and 2F3) starting values, forward
-recursion while k <= w/2, Oliver's boundary-value reformulation beyond
-that, and an endpoint asymptotic expansion for the two trailing boundary
-moments.  The nine-term recurrence ties M(k-4)..M(k+4) with the offsets
-+-3 absent; the symmetry M(-j) = M(j) resolves every negative index.
-Closed forms run in 192-bit mpmath; both recurrences form one float64
-banded LU system, refined with double-double (hi + lo) residuals.
+hybrid strategy: starting values M(0)..M(5), forward recursion while
+k <= w/2, Oliver's boundary-value reformulation beyond that, and an
+endpoint asymptotic expansion for the two trailing boundary moments.  The
+nine-term recurrence ties M(k-4)..M(k+4) with the offsets +-3 absent; the
+symmetry M(-j) = M(j) resolves every negative index.  M(0)..M(3) come
+from four closed forms (Gamma and 2F3) and M(4), M(5) from the recurrence
+rows m = 0, 1 folded by that symmetry, all in 192-bit mpmath; both
+recurrences form one float64 banded LU system, refined with double-double
+(hi + lo) residuals.  The endpoint jets are built once per table.
 """
 
 from __future__ import annotations
@@ -100,10 +102,9 @@ def _three_doubles(x: Fraction):
     return hi, mid, float(x - Fraction(hi) - Fraction(mid))
 
 
-@lru_cache(maxsize=64)
-def _quadratics(alpha: float, beta: float, nu: float, omega: float):
-    """(q2, q1, q0) of c_d(m) = q2 m^2 + q1 m + q0 over _OFFSETS; q1 and q0
-    as three (7, 1) arrays of doubles that sum to the exact values."""
+def _exact_quadratics(alpha: float, beta: float, nu: float, omega: float):
+    """(q2, q1, q0) of c_d(m) = q2 m^2 + q1 m + q0, each a tuple over
+    _OFFSETS of exact rationals of the (exact double) parameters."""
     a, b, n, w = map(Fraction, (alpha, beta, nu, omega))
     s = a + b + 3
     q0_2 = s * s - n * n - w * w / 4
@@ -111,12 +112,19 @@ def _quadratics(alpha: float, beta: float, nu: float, omega: float):
     q0_0 = (6 * (a * a + b * b) + 4 * a + 12 * b - 4 * a * b + 6
             - 6 * n * n + 3 * w * w / 8)
     g = 2 + 4 * (b - a)
-    # rows follow _OFFSETS: d = -4, -2, -1, 0, 1, 2, 4
-    q2 = np.array([[0.0], [1.0], [0.0], [-2.0], [0.0], [1.0], [0.0]])
-    q1 = (0, -2 * s, -g, 0, g, 2 * s, 0)
-    q0 = (w * w / 16, q0_2, q0_1, q0_0, q0_1, q0_2, w * w / 16)
-    return q2, *(np.array([*map(_three_doubles, q)]).T[:, :, None]
-                 for q in (q1, q0))
+    # entries follow _OFFSETS: d = -4, -2, -1, 0, 1, 2, 4
+    return ((0, 1, 0, -2, 0, 1, 0),
+            (0, -2 * s, -g, 0, g, 2 * s, 0),
+            (w * w / 16, q0_2, q0_1, q0_0, q0_1, q0_2, w * w / 16))
+
+
+@lru_cache(maxsize=64)
+def _quadratics(alpha: float, beta: float, nu: float, omega: float):
+    """_exact_quadratics as a (7, 1) array q2 and, for q1 and q0, three
+    (7, 1) arrays of doubles that sum to the exact values."""
+    q2, q1, q0 = _exact_quadratics(alpha, beta, nu, omega)
+    return np.array(q2, dtype=float)[:, None], *(
+        np.array([*map(_three_doubles, q)]).T[:, :, None] for q in (q1, q0))
 
 
 def _row_coefficients(spec: ProblemSpec, m):
@@ -191,40 +199,62 @@ def power_moment(a: float, b: float, nu: float, omega: float,
     return ExtendedReal(val, _PIPE_PREC, err_est=err)
 
 
-def _starting_mpf(spec: ProblemSpec, count: int):
-    """(mpf value, err_est) pairs for M(0)..M(count-1) via the power basis.
-
-    Values keep the precision delivered by the closed form; the boundary-
-    value solve downstream amplifies seed rounding, so they must not be
-    rounded to double prematurely.
-    """
-    # I(alpha + i, beta) is shared across k; the power-basis coefficients
-    # alternate in sign and grow like 4^k, so the sums stay in ExtendedReal.
+def _combine(terms):
+    """(sum c v, sum |c| E + 1e-16 max |c v|) over pairs (c, (v, E)) with
+    exact rational c, summed in order at the pipeline precision."""
+    acc, err, scale = mp.mpf(0), 0.0, 0.0
     with mp.workprec(_PIPE_PREC):
-        shifted = [mp.mpf(spec.alpha) + i for i in range(count)]
-    ivals = [power_moment(ai, spec.beta, spec.nu, spec.omega)
-             for ai in shifted]
-    out = []
-    for k in range(count):
-        cs = shifted_cheb_power_coeffs(k)
-        acc = ExtendedReal(0.0, _PIPE_PREC)
-        errsum = 0.0
-        scale = 0.0
-        for j, c in enumerate(cs):
-            term = ivals[k - j] * c
-            acc = acc + term
-            errsum += abs(c) * ivals[k - j].err_est
+        for c, (v, e) in terms:
+            term = mp.mpf(c.numerator) / c.denominator * v
+            acc += term
+            err += abs(float(c)) * e
             scale = max(scale, abs(float(term)))
-        out.append((acc.value, errsum + 1e-16 * scale))
+    return acc, err + 1e-16 * scale
+
+
+def _starting_mpf(spec: ProblemSpec, count: int):
+    """(mpf value, err_est) pairs for M(0)..M(count-1).
+
+    M(0)..M(3) come from the power basis over the four closed forms
+    I(alpha + i, beta), i = 0..3.  Each later M(k) is solved from
+    recurrence row m = k-4 with its exact rational coefficients, folded by
+    M(-j) = M(j); at m = 0 the offsets -4 and +4 both land on M(4), so its
+    lead is c_-4(0) + c_4(0) = w^2/8.  Values keep the 192-bit precision:
+    the boundary-value solve downstream amplifies seed rounding, so they
+    must not be rounded to double prematurely.
+    """
+    # The power-basis coefficients alternate in sign and grow like 4^k.
+    with mp.workprec(_PIPE_PREC):
+        shifted = [mp.mpf(spec.alpha) + i for i in range(min(count, 4))]
+    ivals = [(h.value, h.err_est) for h in (
+        power_moment(ai, spec.beta, spec.nu, spec.omega) for ai in shifted)]
+    out = [_combine((c, ivals[k - j]) for j, c
+                    in enumerate(shifted_cheb_power_coeffs(k)))
+           for k in range(len(ivals))]
+    quads = list(zip(_OFFSETS, *_exact_quadratics(
+        spec.alpha, spec.beta, spec.nu, spec.omega)))
+    for k in range(4, count):
+        m = k - 4
+        row = {}
+        for d, q2, q1, q0 in quads:
+            row[abs(m + d)] = row.get(abs(m + d), 0) + (q2 * m + q1) * m + q0
+        lead = row.pop(k)
+        out.append(_combine((-c / lead, out[j]) for j, c in row.items()))
     return out
 
 
 def starting_moments(spec: ProblemSpec, count: int = 6):
-    """M(0)..M(count-1) from the power-basis expansion of T_k*."""
+    """M(0)..M(count-1): the power basis of T_k* over closed forms for
+    k <= 3, recurrence rows solved for their lead entry beyond.
+
+    A solved entry inherits its inputs' errors times the row's coefficients
+    over its lead, w^2/8 or w^2/16, which amplifies at small w: at w = 1e-3
+    on (-0.5, -0.5, 1), M(6) and M(7) are good only to ~1e-14 relative.
+    The err_est of ``_starting_mpf`` covers this.
+    """
     if not 1 <= count <= 8:
         raise DomainError("count must be between 1 and 8")
     return [float(v) for v, _ in _starting_mpf(spec, count)]
-
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +311,21 @@ def _right_smooth_jet(spec: ProblemSpec, p_b: int, order: int) -> TaylorJet:
     return _shift_jet(base * jv, p_b, -1.0)
 
 
+def _endpoint_jets(spec: ProblemSpec, order: int):
+    """(lam', left jet, mu', right jet) of the endpoint expansions, which do
+    not depend on the moment index j.  The integer parts p_a, p_b of
+    lam = 2 alpha + 2 nu + 2 and mu = 2 beta + 2 are peeled into the jets,
+    leaving lam' = lam - p_a and mu' = mu - p_b in (0, 1]."""
+    lam = 2.0 * spec.alpha + 2.0 * spec.nu + 2.0
+    mu = 2.0 * spec.beta + 2.0
+    p_a = math.ceil(lam) - 1
+    p_b = math.ceil(mu) - 1
+    return (lam - p_a, _left_smooth_jet(spec, p_a, order),
+            mu - p_b, _right_smooth_jet(spec, p_b, order))
+
+
 def end_moment_asymptotic(spec: ProblemSpec, j: int, max_terms: int = 8,
-                          rel_tol: float = 1e-12):
+                          rel_tol: float = 1e-12, jets=None):
     """(value, err_est) for M(j) at large j from endpoint expansions.
 
     Uses the theta form M(j) = 2 (-1)^j Re int_0^{pi/2} W(theta)
@@ -293,21 +336,16 @@ def end_moment_asymptotic(spec: ProblemSpec, j: int, max_terms: int = 8,
     r = 2j whose n-th term needs the n-th jet coefficient there.  Terms
     are added until the next falls under rel_tol of the partial sum, the
     series stops descending, or max_terms is reached; err_est is the
-    first omitted term's magnitude.
+    first omitted term's magnitude.  ``jets`` may pass in
+    ``_endpoint_jets(spec, order)`` with order >= max_terms, built once for
+    several j; by default they are built here.
     """
     if j < max(50.0, 2.0 * spec.omega):
         raise DomainError(
             f"asymptotic end moment needs j >= max(50, 2 omega), got {j}")
     if not 1 <= max_terms <= 12:
         raise DomainError("max_terms must be between 1 and 12")
-    lam = 2.0 * spec.alpha + 2.0 * spec.nu + 2.0
-    mu = 2.0 * spec.beta + 2.0
-    p_a = math.ceil(lam) - 1
-    p_b = math.ceil(mu) - 1
-    lam_p = lam - p_a   # in (0, 1]
-    mu_p = mu - p_b
-    ga = _left_smooth_jet(spec, p_a, max_terms)
-    gb = _right_smooth_jet(spec, p_b, max_terms)
+    lam_p, ga, mu_p, gb = jets or _endpoint_jets(spec, max_terms)
     r = 2.0 * float(j)
     sgn = -1.0 if j % 2 else 1.0
     total = 0.0
@@ -338,7 +376,6 @@ def end_moment_asymptotic(spec: ProblemSpec, j: int, max_terms: int = 8,
             f"end-moment expansion stalled at err_est {err:.3e} for j={j}",
             err_est=err)
     return total, err
-
 
 
 # ---------------------------------------------------------------------------
@@ -503,10 +540,12 @@ class MomentTable:
 def moment_table(spec: ProblemSpec, N: int) -> MomentTable:
     """Build the hybrid moment table for k = 0..N.
 
-    Closed form for k <= 5, forward recursion to k_switch = clamp of
-    floor(omega/2) into [5, N], then Oliver's algorithm up to N seeded by
-    asymptotic end moments at N+1 and N+2 (oracle fallback when the
-    expansion is out of range or too coarse).  Both recurrences are solved
+    Starting values for k <= 5 (tagged closed-form: four 2F3 closed forms
+    and two solved recurrence rows, see _starting_mpf), forward recursion
+    to k_switch = clamp of floor(omega/2) into [5, N], then Oliver's
+    algorithm up to N seeded by asymptotic end moments at N+1 and N+2
+    (oracle fallback when the expansion is out of range or too coarse),
+    whose endpoint jets are built once.  Both recurrences are solved
     together as one banded system.
     """
     if N < 0:
@@ -528,9 +567,11 @@ def moment_table(spec: ProblemSpec, N: int) -> MomentTable:
         # come from a double-limited quadrature when N sits below that;
         # the surplus entries are simply discarded.
         k_hi = max(N, int(math.ceil(max(50.0, 2.0 * spec.omega))))
+        jets = _endpoint_jets(spec, 12)
         for jj in (k_hi + 1, k_hi + 2):
             try:
-                v, e = end_moment_asymptotic(spec, jj, max_terms=12)
+                v, e = end_moment_asymptotic(spec, jj, max_terms=12,
+                                             jets=jets)
             except (DomainError, AccuracyError):
                 v, e = reference_moment(spec, jj)
             boundary[jj] = (v, 0.0)

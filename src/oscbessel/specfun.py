@@ -2,9 +2,10 @@
 
 Bessel functions of the first kind with real order, their Taylor jets,
 the generalized hypergeometric series 2F3, the gamma function, and the
-exact power-basis coefficients of shifted Chebyshev polynomials.  The
-Bessel ascending series is summed in extended precision to absorb its
-cancellation; 2F3 comes from mpmath at a fixed working precision.
+exact power-basis coefficients of shifted Chebyshev polynomials.  Bessel J
+and 2F3 come from mpmath at fixed working precisions; there is no
+hand-written series.  The jets' Bessel orders follow from two mpmath
+values by the downward three-term recurrence.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ __all__ = [
     "gamma",
     "bessel_j",
     "bessel_j_jet",
-    "bessel_j_switch_point",
     "hyp2f3",
     "shifted_cheb_power_coeffs",
 ]
@@ -116,96 +116,35 @@ def gamma(x: float) -> float:
 # Bessel J of real order
 # ---------------------------------------------------------------------------
 
-def bessel_j_switch_point(nu: float) -> float:
-    """Argument above which the large-x asymptotic expansion is used.
-
-    The Hankel expansion needs x well beyond nu**2/2 before its optimally
-    truncated error drops under 1e-13; below that the ascending series is
-    summed in extended precision to absorb its cancellation (which grows
-    like exp(x)).
-    """
-    return max(25.0 + abs(nu), 0.5 * nu * nu + 10.0)
-
-
-def _series_j(mu: float, x: float) -> float:
-    # Ascending series; cancellation loses ~1.44*x bits, so work above that.
-    prec = 64 + int(1.6 * x)
-    with mp.workprec(prec):
-        xm = mp.mpf(x)
-        half = xm / 2
-        t = half ** mp.mpf(mu) / mp.gamma(mp.mpf(mu) + 1)
-        q = -(half * half)
-        s = t
-        peak = abs(t)
-        eps = mp.mpf(2) ** (-prec + 5)
-        m = 0
-        tiny = 0
-        while m < 100000:
-            m += 1
-            t *= q / (m * (mu + m))
-            s += t
-            if abs(t) > peak:
-                peak = abs(t)
-            if abs(t) <= eps * peak:
-                tiny += 1
-                if tiny >= 2:
-                    break
-            else:
-                tiny = 0
-        return float(s)
-
-
-def _asym_j(mu: float, x: float) -> float:
-    # Hankel expansion J_mu(x) ~ sqrt(2/(pi x)) [P cos(chi) - Q sin(chi)].
-    mu4 = 4.0 * mu * mu
-    P = 0.0
-    Q = 0.0
-    ak = 1.0
-    k = 0
-    prev = math.inf
-    while k < 80:
-        term = ak / x**k
-        if abs(term) >= prev:
-            break
-        prev = abs(term)
-        if k % 2 == 0:
-            P += term if (k // 2) % 2 == 0 else -term
-        else:
-            Q += term if ((k - 1) // 2) % 2 == 0 else -term
-        if abs(term) < 1e-18:
-            break
-        k += 1
-        ak *= (mu4 - (2 * k - 1) ** 2) / (8.0 * k)
-    # chi = x - (mu/2 + 1/4) pi, expanded to dodge cancellation at large x
-    c = (0.5 * mu + 0.25) * math.pi
-    cos_chi = math.cos(x) * math.cos(c) + math.sin(x) * math.sin(c)
-    sin_chi = math.sin(x) * math.cos(c) - math.cos(x) * math.sin(c)
-    return math.sqrt(2.0 / (math.pi * x)) * (P * cos_chi - Q * sin_chi)
-
-
-def _bessel_j_real(mu: float, x: float) -> float:
-    """J_mu(x) for any real order mu and x >= 0 (internal, unvalidated)."""
-    if x == 0.0:
-        if mu == 0.0:
-            return 1.0
-        if mu > 0.0:
-            return 0.0
-        raise DomainError("J_mu(0) diverges for mu < 0")
-    if mu < 0.0 and abs(mu - round(mu)) < 1e-12:
-        m = int(round(-mu))
-        return (-1.0) ** m * _bessel_j_real(float(m), x)
-    if x >= bessel_j_switch_point(mu):
-        return _asym_j(mu, x)
-    return _series_j(mu, x)
+#: Working precision (bits) of mpmath's Bessel J and of the downward ladder.
+_BESSEL_PREC = 96
 
 
 def bessel_j(nu: float, x: float) -> float:
-    """Bessel function of the first kind J_nu(x), nu >= 0, x >= 0."""
+    """Bessel function of the first kind J_nu(x), nu >= 0, x >= 0, from
+    mpmath.besselj rounded to double."""
     if nu < 0.0:
         raise DomainError(f"order must be nonnegative, got nu={nu}")
     if x < 0.0:
         raise DomainError(f"argument must be nonnegative, got x={x}")
-    return _bessel_j_real(float(nu), float(x))
+    with mp.workprec(_BESSEL_PREC):
+        return float(mp.besselj(float(nu), float(x)))
+
+
+def _bessel_j_ladder(nu: float, x: float, order: int) -> list[float]:
+    """J_mu(x) for mu = nu-order .. nu+order, x > 0.
+
+    The top two orders come from mpmath.besselj; the rest follow from
+    J_{mu-1} = (2 mu / x) J_mu - J_{mu+1}, run downward, the direction in
+    which J is the minimal solution (Gautschi, SIAM Review 9, 1967).
+    """
+    with mp.workprec(_BESSEL_PREC):
+        xm = mp.mpf(x)
+        top = mp.mpf(nu) + order
+        ladder = [mp.besselj(top, xm), mp.besselj(top - 1, xm)]
+        for i in range(1, 2 * order):
+            ladder.append(2 * (top - i) / xm * ladder[-1] - ladder[-2])
+    return [float(v) for v in reversed(ladder[: 2 * order + 1])]
 
 
 # ---------------------------------------------------------------------------
@@ -366,19 +305,13 @@ def bessel_j_jet(nu: float, center: float, order: int) -> TaylorJet:
         raise DomainError("jet center must be positive")
     if nu < 0.0:
         raise DomainError(f"order must be nonnegative, got nu={nu}")
-    # All ladder orders nu-k..nu+k at the same argument.
-    cache = {}
-
-    def jladder(mu):
-        if mu not in cache:
-            cache[mu] = _bessel_j_real(mu, center)
-        return cache[mu]
-
+    # jl[i] = J_{nu - order + i}, all at the same argument.
+    jl = _bessel_j_ladder(nu, center, order)
     coeffs = np.zeros(order + 1)
     for k in range(order + 1):
         acc = 0.0
         for m in range(k + 1):
-            acc += (-1.0) ** m * math.comb(k, m) * jladder(nu - k + 2 * m)
+            acc += (-1.0) ** m * math.comb(k, m) * jl[order - k + 2 * m]
         coeffs[k] = acc / (2.0**k * math.factorial(k))
     return TaylorJet(center, coeffs)
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oscbessel import ccf
 from oscbessel.ccf import (ConvergenceRecord, ccf_integrate,
                            clear_moment_cache, convergence_study, fit_rate)
 from oscbessel.chebfit import ChebyshevExpansion
@@ -101,6 +102,25 @@ class TestConvergenceStudy:
         convergence_study(spec, [8, 16, 32, 64], 0.0)
         cached = ccf_integrate(spec, 16).value
         assert cached == fresh
+
+
+class TestTableCache:
+    def test_evicts_least_recently_used(self):
+        clear_moment_cache()
+        specs = [ProblemSpec(0.2, 0.4, 0.0, 1.0 + i)
+                 for i in range(ccf._CACHE_CAPACITY + 1)]
+        for spec in specs[:-1]:
+            ccf._cached_table(spec, 2)
+        first = ccf._TABLE_CACHE[specs[0].moment_key()]
+        # A hit returns the cached table and makes it the most recent.
+        assert ccf._cached_table(specs[0], 2) is first
+        assert list(ccf._TABLE_CACHE)[-1] == specs[0].moment_key()
+        ccf._cached_table(specs[-1], 2)
+        assert len(ccf._TABLE_CACHE) == ccf._CACHE_CAPACITY
+        assert specs[1].moment_key() not in ccf._TABLE_CACHE
+        assert ccf._TABLE_CACHE[specs[0].moment_key()] is first
+        assert specs[-1].moment_key() in ccf._TABLE_CACHE
+        clear_moment_cache()
 
 
 class TestFitRate:

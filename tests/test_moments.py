@@ -1,4 +1,5 @@
 import math
+import pathlib
 import time
 
 import mpmath as mp
@@ -16,6 +17,7 @@ from oscbessel.moments import (_OFFSETS, MomentTable, _row_coefficients,
 from oscbessel.oracle import (OracleConfig, reference_moment,
                               reference_moments)
 from oscbessel.problem import ProblemSpec
+from oscbessel.specfun import shifted_cheb_power_coeffs
 
 CFG = OracleConfig(rel_tol=1e-13)
 
@@ -268,6 +270,27 @@ class TestStartingMoments:
                     w = mp.mpf(w)
                     assert abs(v - w) <= 1e-50 * abs(w), (kernel, k)
 
+    @pytest.mark.parametrize("a, b, nu", [(0.2, 0.4, 0.0),
+                                          (-0.8, -0.9, 2.5),
+                                          (0.6, -0.4, 7.0),
+                                          (-0.5, -0.5, 1.0)])
+    @pytest.mark.parametrize("w", [1e-3, 0.1, 1.0, 20.0, 1e3, 1e5])
+    def test_recurrence_seeds_against_600_bits(self, a, b, nu, w):
+        # M(4)..M(7) are solved from recurrence rows over M(0)..M(3); the
+        # reference is the power basis over eight 600-bit closed forms.
+        got = _starting_mpf(ProblemSpec(a, b, nu, w), 8)
+        with mp.workprec(600):
+            ivals = [power_moment_600(mp.mpf(a) + i, b, nu, w)
+                     for i in range(8)]
+            for k in range(4, 8):
+                want = sum(c * ivals[k - j] for j, c
+                           in enumerate(shifted_cheb_power_coeffs(k)))
+                value, err_est = got[k]
+                err = abs(value - want)
+                assert err <= err_est, (k, float(err), err_est)
+                if k < 6:
+                    assert err <= 1e-30 * abs(want), (k, float(err))
+
 
 class TestForwardMoments:
     def test_oracle_satisfies_recurrence(self):
@@ -457,6 +480,25 @@ class TestMomentTable:
             assert abs(table.values[k] - refs[k]) <= (
                 1e-8 * abs(refs[k]) + errs[k]), k
 
+    def test_call_structure(self, monkeypatch):
+        # Four 2F3 closed forms seed the table, and the endpoint jets are
+        # built once for both end moments.
+        calls = {"power_moment": 0, "_right_smooth_jet": 0}
+
+        def counted(name):
+            original = getattr(moments, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(moments, name, wrapper)
+
+        for name in calls:
+            counted(name)
+        moment_table(ProblemSpec(0.2, 0.4, 0.0, 20.0), 256)
+        assert calls == {"power_moment": 4, "_right_smooth_jet": 1}
+
     def test_negative_index_symmetry(self):
         table = moment_table(ProblemSpec(0.2, 0.4, 0.0, 20.0), 16)
         assert table[-3] == table[3]
@@ -494,3 +536,13 @@ class TestRecurrenceResidual:
             recurrence_residual(table, 13)
         with pytest.raises(IndexError):
             recurrence_residual(table, -1)
+
+
+def test_pipeline_is_independent_of_the_oracles_bessel():
+    # The oracle evaluates J through scipy.special; the pipeline must not,
+    # so that the two stay independent.
+    root = pathlib.Path(__file__).resolve().parents[1] / "src" / "oscbessel"
+    for module in ("specfun.py", "moments.py"):
+        src = (root / module).read_text()
+        assert "scipy.special" not in src, module
+        assert "from scipy import special" not in src, module

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from oscbessel.errors import ConvergenceError, DomainError, PoleError
-from oscbessel.specfun import (ExtendedReal, bessel_j, bessel_j_jet, gamma,
-                               hyp2f3, shifted_cheb_power_coeffs)
+from oscbessel.specfun import (ExtendedReal, _bessel_j_ladder, bessel_j,
+                               bessel_j_jet, gamma, hyp2f3,
+                               shifted_cheb_power_coeffs)
 
 
 class TestGamma:
@@ -82,6 +83,18 @@ class TestBesselJet:
             got = jet.coefficients[n]
             fd = want / math.factorial(n)
             assert abs(got - fd) <= 1e-7 * (1.0 + abs(fd)), n
+
+    def test_ladder_against_mpmath(self):
+        # Two mpmath orders and the downward recurrence give all 25.
+        for nu in (0.0, 0.5, 1.0, 2.5, 7.0, 20.0):
+            for x in (0.3, 1.0, 3.0, 20.0, 200.0, 1e3, 1e4, 1e5):
+                got = _bessel_j_ladder(nu, x, 12)
+                with mp.workprec(200):
+                    want = [float(mp.besselj(mp.mpf(nu) - 12 + i, x))
+                            for i in range(25)]
+                scale = max(map(abs, want))
+                for g, w in zip(got, want):
+                    assert abs(g - w) <= 1e-13 * scale, (nu, x)
 
     def test_bessel_ode_residual(self):
         # x^2 J'' + x J' + (x^2 - nu^2) J = 0 with jet derivatives.
