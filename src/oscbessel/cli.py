@@ -44,13 +44,6 @@ class IntegrandDescriptor:
     path: str = ""
 
 
-def _descriptor_text(desc: IntegrandDescriptor) -> str:
-    parts = [f"{k}={_fmt(v)}" for k, v in sorted(desc.parameters.items())]
-    if desc.path:
-        parts.append(f"path={desc.path}")
-    return desc.name + (":" + ",".join(parts) if parts else "")
-
-
 def parse_integrand(text: str) -> IntegrandDescriptor:
     name, _, rest = text.partition(":")
     params, path = {}, ""
@@ -182,22 +175,42 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+#: Every flag with its argparse settings, and the flags each command takes
+#: besides --format and --out.
+_FLAGS = {
+    "alpha": dict(type=float, required=True),
+    "beta": dict(type=float, required=True),
+    "nu": dict(type=float, required=True),
+    "omega": dict(type=float, required=True),
+    "f": dict(required=True),
+    "N": dict(required=True),
+    "tol": dict(type=float, default=1e-12),
+    "reference": dict(type=float, default=None),
+    "window": dict(default=None),
+}
+_KERNEL = ("alpha", "beta", "nu", "omega")
+_COMMANDS = {
+    "integrate": (*_KERNEL, "f", "N"),
+    "moments": (*_KERNEL, "N"),
+    "study": (*_KERNEL, "f", "N", "tol", "reference", "window"),
+    "validate": ("tol",),
+}
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="oscbessel", description=__doc__)
+    # A command's namespace holds every flag; those it does not take keep
+    # their defaults.
+    parser.set_defaults(**{flag: kw.get("default")
+                           for flag, kw in _FLAGS.items()})
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("integrate", "moments", "study", "validate"):
-        p = sub.add_parser(name)
-        p.add_argument("--alpha", type=float)
-        p.add_argument("--beta", type=float)
-        p.add_argument("--nu", type=float)
-        p.add_argument("--omega", type=float)
-        p.add_argument("--f", default=None)
-        p.add_argument("--N", default=None)
-        p.add_argument("--tol", type=float, default=1e-12)
+    for name, flags in _COMMANDS.items():
+        # No abbreviations: moments would read --f as --format.
+        p = sub.add_parser(name, allow_abbrev=False)
+        for flag in flags:
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", default="-")
-        p.add_argument("--reference", type=float, default=None)
-        p.add_argument("--window", default=None)
     return parser
 
 
@@ -207,21 +220,15 @@ def parse_config(argv) -> RunPlan:
     spec = None
     descriptor = None
     breakpoints = ()
+    N_list = []
     if command != "validate":
-        for flag in ("alpha", "beta", "nu", "omega"):
-            if getattr(ns, flag) is None:
-                raise UsageError(f"--{flag} is required for {command}")
         integrand = None
-        name = ""
-        if command in ("integrate", "study"):
-            if ns.f is None:
-                raise UsageError(f"--f is required for {command}")
+        if ns.f is not None:
             descriptor = parse_integrand(ns.f)
             integrand, breakpoints = build_integrand(descriptor)
-            name = _descriptor_text(descriptor)
         spec = ProblemSpec(ns.alpha, ns.beta, ns.nu, ns.omega,
-                           integrand=integrand, integrand_name=name)
-    N_list = parse_n_range(ns.N) if ns.N is not None else []
+                           integrand=integrand)
+        N_list = parse_n_range(ns.N)
     if command in ("integrate", "moments") and len(N_list) != 1:
         raise UsageError(f"--N: {command} takes a single N")
     if command == "study" and len(N_list) < 2:

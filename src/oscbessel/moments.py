@@ -28,14 +28,13 @@ from .oracle import reference_moment
 from .problem import ProblemSpec
 from .specfun import (
     ExtendedReal,
-    TaylorJet,
     bessel_j_jet,
-    cos_jet,
     gamma,
     hyp2f3,
+    jet_compose,
+    jet_mul,
+    jet_pow,
     shifted_cheb_power_coeffs,
-    sin_jet,
-    sinc_of,
 )
 
 __all__ = [
@@ -261,18 +260,24 @@ def starting_moments(spec: ProblemSpec, count: int = 6):
 # Endpoint asymptotics for large-index moments
 # ---------------------------------------------------------------------------
 
-_HALF_PI = math.pi / 2.0
+#: Terms and relative stopping tolerance of the endpoint expansions.
+_END_TERMS = 12
+_END_REL_TOL = 1e-12
+
+#: Taylor coefficients of sin and cos about 0, through order _END_TERMS + 1;
+#: sin(u)/u is the sin series shifted down by one.
+_SIN = np.array([(0, 1, 0, -1)[n % 4] / math.factorial(n)
+                 for n in range(_END_TERMS + 2)])
+_COS = np.array([(1, 0, -1, 0)[n % 4] / math.factorial(n)
+                 for n in range(_END_TERMS + 2)])
 
 
-def _shift_jet(jet: TaylorJet, p: int, sign: float) -> TaylorJet:
+def _shift_jet(jet: np.ndarray, p: int, sign: float) -> np.ndarray:
     """Multiply a jet by (sign * u)^p where u is the deviation variable."""
-    c = np.zeros(jet.order + 1)
-    if p <= jet.order:
-        c[p:] = jet.coefficients[: jet.order + 1 - p]
-    return TaylorJet(jet.center, (sign ** p) * c)
+    return sign ** p * np.concatenate([np.zeros(p), jet])[: len(jet)]
 
 
-def _left_smooth_jet(spec: ProblemSpec, p_a: int, order: int) -> TaylorJet:
+def _left_smooth_jet(spec: ProblemSpec, p_a: int, order: int) -> np.ndarray:
     """Jet at theta = 0 of the smooth companion of the theta^(lam'-1) factor.
 
     The kernel sin^(2a+1) cos^(2b+1) J_nu(w sin^2) contributes
@@ -283,32 +288,29 @@ def _left_smooth_jet(spec: ProblemSpec, p_a: int, order: int) -> TaylorJet:
     cancellation occurs at the endpoint.
     """
     a, b, nu, w = spec.alpha, spec.beta, spec.nu, spec.omega
-    th = TaylorJet.variable(0.0, order)
-    sj = sin_jet(0.0, order)
-    base = (sinc_of(th).powr(2.0 * a + 2.0 * nu + 1.0)
-            * cos_jet(0.0, order).powr(2.0 * b + 1.0))
-    s = (w * w) * (sj * sj * sj * sj)
+    sj = _SIN[: order + 1]
+    base = jet_mul(jet_pow(_SIN[1: order + 2], 2.0 * a + 2.0 * nu + 1.0),
+                   jet_pow(_COS[: order + 1], 2.0 * b + 1.0))
+    s = jet_mul(jet_mul(jet_mul(sj, sj), sj), sj) * (w * w)
     outer = np.array([(-0.25) ** p / (math.factorial(p) * gamma(nu + p + 1.0))
                       for p in range(order + 1)])
-    phi = base * s.compose_series(outer) * (w / 2.0) ** nu
+    phi = jet_mul(base, jet_compose(s, outer)) * (w / 2.0) ** nu
     return _shift_jet(phi, p_a, 1.0)
 
 
-def _right_smooth_jet(spec: ProblemSpec, p_b: int, order: int) -> TaylorJet:
-    """Jet at theta = pi/2 (in u = theta - pi/2) of the right companion.
+def _right_smooth_jet(spec: ProblemSpec, p_b: int, order: int) -> np.ndarray:
+    """Jet at theta = pi/2, in u = theta - pi/2, of the right companion.
 
     sin theta = cos u and cos theta = -sin u there, so the kernel becomes
     cos^(2a+1) u * sinc^(2b+1) u * (-u)^p_b * J_nu(w cos^2 u); the Bessel
     jet is taken about w > 0 and composed with -w sin^2 u.
     """
     a, b, nu, w = spec.alpha, spec.beta, spec.nu, spec.omega
-    cj = TaylorJet(_HALF_PI, cos_jet(0.0, order).coefficients)
-    sj = TaylorJet(_HALF_PI, sin_jet(0.0, order).coefficients)
-    dev = TaylorJet.variable(_HALF_PI, order) - _HALF_PI
-    base = cj.powr(2.0 * a + 1.0) * sinc_of(dev).powr(2.0 * b + 1.0)
-    zdev = (sj * sj) * (-w)
-    jv = zdev.compose_series(bessel_j_jet(nu, w, order).coefficients)
-    return _shift_jet(base * jv, p_b, -1.0)
+    sj = _SIN[: order + 1]
+    base = jet_mul(jet_pow(_COS[: order + 1], 2.0 * a + 1.0),
+                   jet_pow(_SIN[1: order + 2], 2.0 * b + 1.0))
+    jv = jet_compose(jet_mul(sj, sj) * -w, bessel_j_jet(nu, w, order))
+    return _shift_jet(jet_mul(base, jv), p_b, -1.0)
 
 
 def _endpoint_jets(spec: ProblemSpec, order: int):
@@ -324,8 +326,7 @@ def _endpoint_jets(spec: ProblemSpec, order: int):
             mu - p_b, _right_smooth_jet(spec, p_b, order))
 
 
-def end_moment_asymptotic(spec: ProblemSpec, j: int, max_terms: int = 8,
-                          rel_tol: float = 1e-12, jets=None):
+def end_moment_asymptotic(spec: ProblemSpec, j: int, jets=None):
     """(value, err_est) for M(j) at large j from endpoint expansions.
 
     Uses the theta form M(j) = 2 (-1)^j Re int_0^{pi/2} W(theta)
@@ -334,37 +335,36 @@ def end_moment_asymptotic(spec: ProblemSpec, j: int, max_terms: int = 8,
     mu = 2 beta + 2; integer parts of lam and mu are peeled into the
     smooth factor, and each endpoint contributes a descending series in
     r = 2j whose n-th term needs the n-th jet coefficient there.  Terms
-    are added until the next falls under rel_tol of the partial sum, the
-    series stops descending, or max_terms is reached; err_est is the
-    first omitted term's magnitude.  ``jets`` may pass in
-    ``_endpoint_jets(spec, order)`` with order >= max_terms, built once for
-    several j; by default they are built here.
+    are added until the next falls under _END_REL_TOL of the partial sum,
+    the series stops descending, or _END_TERMS terms are reached; err_est
+    is the first omitted term's magnitude.  ``jets`` may pass in
+    ``_endpoint_jets(spec, _END_TERMS)``, built once for several j; by
+    default they are built here.
     """
     if j < max(50.0, 2.0 * spec.omega):
         raise DomainError(
             f"asymptotic end moment needs j >= max(50, 2 omega), got {j}")
-    if not 1 <= max_terms <= 12:
-        raise DomainError("max_terms must be between 1 and 12")
-    lam_p, ga, mu_p, gb = jets or _endpoint_jets(spec, max_terms)
+    lam_p, ga, mu_p, gb = jets or _endpoint_jets(spec, _END_TERMS)
     r = 2.0 * float(j)
     sgn = -1.0 if j % 2 else 1.0
     total = 0.0
     prev_mag = math.inf
     err = 0.0
-    for n in range(max_terms + 1):
+    for n in range(_END_TERMS + 1):
+        # ga[n] * n! and gb[n] * n! are the n-th derivatives at the ends.
         fn = math.factorial(n)
         an = (gamma(n + lam_p) / fn
               * cmath.exp(1j * math.pi * (n + lam_p - 2.0) / 2.0)
-              * r ** (-n - lam_p) * ga.derivative(n))
+              * r ** (-n - lam_p) * (ga[n] * fn))
         bn = (sgn * gamma(n + mu_p) / fn
               * cmath.exp(1j * math.pi * (n - mu_p) / 2.0)
-              * r ** (-n - mu_p) * gb.derivative(n))
+              * r ** (-n - mu_p) * (gb[n] * fn))
         mag = 2.0 * (abs(an) + abs(bn))
         # The peeled integer powers make the first few terms exactly zero;
         # those say nothing about convergence and are skipped.
-        if n == max_terms or (mag > 0.0
-                              and (mag < rel_tol * abs(total)
-                                   or mag >= prev_mag)):
+        if n == _END_TERMS or (mag > 0.0
+                               and (mag < _END_REL_TOL * abs(total)
+                                    or mag >= prev_mag)):
             err = mag
             break
         total += 2.0 * sgn * (bn - an).real
@@ -567,11 +567,10 @@ def moment_table(spec: ProblemSpec, N: int) -> MomentTable:
         # come from a double-limited quadrature when N sits below that;
         # the surplus entries are simply discarded.
         k_hi = max(N, int(math.ceil(max(50.0, 2.0 * spec.omega))))
-        jets = _endpoint_jets(spec, 12)
+        jets = _endpoint_jets(spec, _END_TERMS)
         for jj in (k_hi + 1, k_hi + 2):
             try:
-                v, e = end_moment_asymptotic(spec, jj, max_terms=12,
-                                             jets=jets)
+                v, e = end_moment_asymptotic(spec, jj, jets=jets)
             except (DomainError, AccuracyError):
                 v, e = reference_moment(spec, jj)
             boundary[jj] = (v, 0.0)

@@ -16,7 +16,7 @@ class ProblemSpec:
     """Weight exponents, Bessel order, frequency, and the integrand f.
 
     ``integrand`` may be None for moment-only work; operations that sample
-    f require it.  ``integrand_name`` is a registry label for reporting.
+    f require it.
     """
 
     alpha: float
@@ -24,7 +24,6 @@ class ProblemSpec:
     nu: float
     omega: float
     integrand: Optional[Callable[[float], float]] = None
-    integrand_name: str = ""
 
     def __post_init__(self):
         for name in ("alpha", "beta", "nu", "omega"):
@@ -42,8 +41,8 @@ class ProblemSpec:
             # coefficient omega^2/16 vanishes).
             raise DomainError(f"omega must be > 0, got {self.omega}")
 
-    def with_integrand(self, f, name: str = "") -> "ProblemSpec":
-        return ProblemSpec(self.alpha, self.beta, self.nu, self.omega, f, name)
+    def with_integrand(self, f) -> "ProblemSpec":
+        return ProblemSpec(self.alpha, self.beta, self.nu, self.omega, f)
 
     def moment_key(self):
         """Hashable identity of the f-independent part."""

@@ -1,17 +1,19 @@
-"""Special functions and extended-precision arithmetic.
+"""Special functions and truncated Taylor series.
 
-Bessel functions of the first kind with real order, their Taylor jets,
+Bessel functions of the first kind with real order and their Taylor jets,
 the generalized hypergeometric series 2F3, the gamma function, and the
 exact power-basis coefficients of shifted Chebyshev polynomials.  Bessel J
 and 2F3 come from mpmath at fixed working precisions; there is no
 hand-written series.  The jets' Bessel orders follow from two mpmath
-values by the downward three-term recurrence.
+values by the downward three-term recurrence.  A jet is a plain numpy
+array of Taylor coefficients, with a truncated product, a real power and
+a composition.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
@@ -20,10 +22,12 @@ from .errors import ConvergenceError, DomainError, PoleError
 
 __all__ = [
     "ExtendedReal",
-    "TaylorJet",
     "gamma",
     "bessel_j",
     "bessel_j_jet",
+    "jet_mul",
+    "jet_pow",
+    "jet_compose",
     "hyp2f3",
     "shifted_cheb_power_coeffs",
 ]
@@ -33,68 +37,17 @@ __all__ = [
 # ExtendedReal
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
 class ExtendedReal:
-    """A real number held at a configurable mantissa precision (>= 53 bits).
+    """An mpmath value with the working precision (bits) it was computed at
+    and an absolute error estimate."""
 
-    Thin immutable wrapper around an mpmath value.  Arithmetic between two
-    ExtendedReals is carried out at the larger of the two precisions.
-    """
-
-    __slots__ = ("value", "prec", "err_est")
-
-    def __init__(self, value, prec: int = 128, err_est: float = 0.0):
-        if prec < 53:
-            raise DomainError("precision must be at least 53 bits")
-        with mp.workprec(prec):
-            self.value = mp.mpf(value) if not isinstance(value, mp.mpf) else value
-        self.prec = int(prec)
-        self.err_est = float(err_est)
-
-    def _binop(self, other, op):
-        if isinstance(other, ExtendedReal):
-            prec = max(self.prec, other.prec)
-            oval = other.value
-        else:
-            prec = self.prec
-            oval = mp.mpf(other)
-        with mp.workprec(prec):
-            return ExtendedReal(op(self.value, oval), prec)
-
-    def __add__(self, other):
-        return self._binop(other, lambda a, b: a + b)
-
-    def __radd__(self, other):
-        return self._binop(other, lambda a, b: b + a)
-
-    def __sub__(self, other):
-        return self._binop(other, lambda a, b: a - b)
-
-    def __rsub__(self, other):
-        return self._binop(other, lambda a, b: b - a)
-
-    def __mul__(self, other):
-        return self._binop(other, lambda a, b: a * b)
-
-    def __rmul__(self, other):
-        return self._binop(other, lambda a, b: b * a)
-
-    def __truediv__(self, other):
-        return self._binop(other, lambda a, b: a / b)
-
-    def __rtruediv__(self, other):
-        return self._binop(other, lambda a, b: b / a)
-
-    def __neg__(self):
-        return ExtendedReal(-self.value, self.prec, self.err_est)
+    value: mp.mpf
+    prec: int
+    err_est: float = 0.0
 
     def __float__(self):
         return float(self.value)
-
-    def __abs__(self):
-        return ExtendedReal(abs(self.value), self.prec, self.err_est)
-
-    def __repr__(self):
-        return f"ExtendedReal({mp.nstr(self.value, 20)}, prec={self.prec})"
 
 
 # ---------------------------------------------------------------------------
@@ -148,153 +101,46 @@ def _bessel_j_ladder(nu: float, x: float, order: int) -> list[float]:
 
 
 # ---------------------------------------------------------------------------
-# Taylor jets
+# Taylor jets: a jet is an array c whose c[n] is the n-th Taylor coefficient
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TaylorJet:
-    """Truncated Taylor series of a function about a center.
+def jet_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Product of two jets, truncated at the order of ``a``."""
+    return np.convolve(a, b)[: len(a)]
 
-    ``coefficients[n]`` holds the n-th derivative divided by n!.
-    Arithmetic truncates at the common order.
+
+def jet_pow(f: np.ndarray, p: float) -> np.ndarray:
+    """Real power of a jet with positive constant term (J.C.P. Miller)."""
+    if f[0] <= 0.0:
+        raise DomainError("jet power needs a positive constant term")
+    y = np.zeros(len(f))
+    y[0] = f[0] ** p
+    for k in range(1, len(f)):
+        acc = 0.0
+        for j in range(1, k + 1):
+            acc += ((p + 1) * j - k) * f[j] * y[k - j]
+        y[k] = acc / (k * f[0])
+    return y
+
+
+def jet_compose(inner: np.ndarray, outer: np.ndarray) -> np.ndarray:
+    """sum_m outer[m] * inner^m by Horner's rule.
+
+    ``inner`` must have zero constant term (a pure deviation), so the
+    result is the jet of g(x0 + inner) when ``outer`` holds the Taylor
+    coefficients of g about x0.
     """
-
-    center: float
-    coefficients: np.ndarray
-    order: int = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "coefficients",
-                           np.asarray(self.coefficients, dtype=float))
-        object.__setattr__(self, "order", len(self.coefficients) - 1)
-
-    # -- constructors -------------------------------------------------------
-
-    @staticmethod
-    def variable(center: float, order: int) -> "TaylorJet":
-        c = np.zeros(order + 1)
-        c[0] = center
-        if order >= 1:
-            c[1] = 1.0
-        return TaylorJet(center, c)
-
-    @staticmethod
-    def constant(value: float, center: float, order: int) -> "TaylorJet":
-        c = np.zeros(order + 1)
-        c[0] = value
-        return TaylorJet(center, c)
-
-    # -- ring operations ----------------------------------------------------
-
-    def _coerce(self, other):
-        if isinstance(other, TaylorJet):
-            return other.coefficients
-        c = np.zeros(self.order + 1)
-        c[0] = float(other)
-        return c
-
-    def __add__(self, other):
-        return TaylorJet(self.center, self.coefficients + self._coerce(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return TaylorJet(self.center, self.coefficients - self._coerce(other))
-
-    def __rsub__(self, other):
-        return TaylorJet(self.center, self._coerce(other) - self.coefficients)
-
-    def __neg__(self):
-        return TaylorJet(self.center, -self.coefficients)
-
-    def __mul__(self, other):
-        if not isinstance(other, TaylorJet):
-            return TaylorJet(self.center, self.coefficients * float(other))
-        n = self.order
-        out = np.convolve(self.coefficients, other.coefficients)[: n + 1]
-        return TaylorJet(self.center, out)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __truediv__(self, other):
-        if not isinstance(other, TaylorJet):
-            return TaylorJet(self.center, self.coefficients / float(other))
-        a, b = self.coefficients, other.coefficients
-        if b[0] == 0.0:
-            raise DomainError("jet division by a jet with zero constant term")
-        n = self.order
-        q = np.zeros(n + 1)
-        for k in range(n + 1):
-            acc = a[k]
-            for j in range(1, k + 1):
-                if j <= other.order:
-                    acc -= b[j] * q[k - j]
-            q[k] = acc / b[0]
-        return TaylorJet(self.center, q)
-
-    def powr(self, p: float) -> "TaylorJet":
-        """Real power of a jet with positive constant term (J.C.P. Miller)."""
-        f = self.coefficients
-        if f[0] <= 0.0:
-            raise DomainError("jet power needs a positive constant term")
-        n = self.order
-        y = np.zeros(n + 1)
-        y[0] = f[0] ** p
-        for k in range(1, n + 1):
-            acc = 0.0
-            for j in range(1, k + 1):
-                acc += ((p + 1) * j - k) * f[j] * y[k - j]
-            y[k] = acc / (k * f[0])
-        return TaylorJet(self.center, y)
-
-    def compose_series(self, outer: np.ndarray) -> "TaylorJet":
-        """Evaluate sum_m outer[m] * u^m where u is this jet.
-
-        The jet must have zero constant term (a pure deviation), so the
-        result is the jet of g(inner) when ``outer`` are the Taylor
-        coefficients of g about the inner function's value.
-        """
-        if self.coefficients[0] != 0.0:
-            raise DomainError("compose_series needs a zero constant term")
-        n = self.order
-        res = TaylorJet.constant(float(outer[-1]), self.center, n)
-        for m in range(len(outer) - 2, -1, -1):
-            res = res * self + float(outer[m])
-        return res
-
-    def derivative(self, n: int) -> float:
-        """n-th derivative of the represented function at the center."""
-        if n > self.order:
-            raise DomainError("derivative order exceeds jet order")
-        return self.coefficients[n] * math.factorial(n)
+    if inner[0] != 0.0:
+        raise DomainError("jet composition needs a zero constant term")
+    res = np.zeros(len(inner))
+    res[0] = outer[-1]
+    for c in outer[-2::-1]:
+        res = jet_mul(res, inner)
+        res[0] += c
+    return res
 
 
-def sin_jet(center: float, order: int) -> TaylorJet:
-    s, c = math.sin(center), math.cos(center)
-    cycle = (s, c, -s, -c)
-    coeffs = [cycle[n % 4] / math.factorial(n) for n in range(order + 1)]
-    return TaylorJet(center, np.array(coeffs))
-
-
-def cos_jet(center: float, order: int) -> TaylorJet:
-    s, c = math.sin(center), math.cos(center)
-    cycle = (c, -s, -c, s)
-    coeffs = [cycle[n % 4] / math.factorial(n) for n in range(order + 1)]
-    return TaylorJet(center, np.array(coeffs))
-
-
-def sinc_of(u: TaylorJet) -> TaylorJet:
-    """Jet of sin(u)/u for a jet u with zero constant term."""
-    n = u.order
-    outer = np.zeros(n + 1)
-    for m in range(0, n + 1):
-        if m % 2 == 0:
-            outer[m] = (-1.0) ** (m // 2) / math.factorial(m + 1)
-    return u.compose_series(outer)
-
-
-def bessel_j_jet(nu: float, center: float, order: int) -> TaylorJet:
+def bessel_j_jet(nu: float, center: float, order: int) -> np.ndarray:
     """Taylor jet of J_nu about ``center`` > 0 via the derivative ladder.
 
     d^k J_nu = 2^{-k} sum_m (-1)^m C(k, m) J_{nu - k + 2m}.
@@ -313,7 +159,7 @@ def bessel_j_jet(nu: float, center: float, order: int) -> TaylorJet:
         for m in range(k + 1):
             acc += (-1.0) ** m * math.comb(k, m) * jl[order - k + 2 * m]
         coeffs[k] = acc / (2.0**k * math.factorial(k))
-    return TaylorJet(center, coeffs)
+    return coeffs
 
 
 # ---------------------------------------------------------------------------

@@ -76,6 +76,25 @@ class TestExitCodes:
         assert code == 2
         assert "omega must be finite" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["moments", "--alpha", "0.2", "--beta", "0.4", "--nu", "0",
+         "--omega", "20", "--N", "8", "--f", "no_such_fn"],
+        ["moments", "--alpha", "0.2", "--beta", "0.4", "--nu", "0",
+         "--omega", "20", "--N", "8", "--reference", "3"],
+        ["moments", "--alpha", "0.2", "--beta", "0.4", "--nu", "0",
+         "--omega", "20", "--N", "8", "--tol", "0.5"],
+        ["integrate", "--alpha", "0.2", "--beta", "0.4", "--nu", "0",
+         "--omega", "20", "--N", "8", "--f", "smooth_exp",
+         "--window", "1:2"],
+        ["validate", "--alpha", "7"],
+        ["validate", "--N", "3"],
+        ["validate", "--f", "bogus"],
+    ])
+    def test_flag_the_command_does_not_take_is_1(self, capsys, argv):
+        code, out, err = run(argv, capsys)
+        assert code == 1
+        assert "unrecognized arguments" in err and out == ""
+
     def test_numerical_failure_is_3(self, capsys, monkeypatch):
         def explode(plan):
             raise AccuracyError("synthetic blow-up", err_est=1.0)

@@ -8,8 +8,9 @@ import pytest
 
 from oscbessel import moments
 from oscbessel.errors import DomainError
-from oscbessel.moments import (_OFFSETS, MomentTable, _row_coefficients,
-                               _starting_mpf, end_moment_asymptotic,
+from oscbessel.moments import (_OFFSETS, MomentTable, _endpoint_jets,
+                               _row_coefficients, _starting_mpf,
+                               end_moment_asymptotic,
                                forward_moments,
                                moment_table, oliver_moments, power_moment,
                                recurrence_coefficients, recurrence_residual,
@@ -348,6 +349,43 @@ class TestEndMomentAsymptotic:
         spec = ProblemSpec(0.2, 0.4, 0.0, 200.0)
         with pytest.raises(DomainError):
             end_moment_asymptotic(spec, 300)  # below 2*omega
+
+    @pytest.mark.parametrize("kernel", [
+        (0.2, 0.4, 0.0, 20.0), (0.2, 0.4, 2.5, 200.0),
+        (-0.5, 0.3, 1.0, 100.0), (0.6, -0.4, 2.5, 1e4),
+        # p_a = 14 exceeds the order: the left jet is all zero.
+        (-0.8, -0.9, 7.0, 1e5)])
+    def test_endpoint_jets_against_mpmath_taylor(self, kernel):
+        # The smooth companions at theta = 0 and at u = theta - pi/2 = 0,
+        # differentiated by mpmath at 60 digits, times u^p_a and (-u)^p_b
+        # for the peeled integer powers.
+        spec = ProblemSpec(*kernel)
+        lam_p, left, mu_p, right = _endpoint_jets(spec, 12)
+        p_a = round(2 * spec.alpha + 2 * spec.nu + 2 - lam_p)
+        p_b = round(2 * spec.beta + 2 - mu_p)
+        a, b, nu, w = map(mp.mpf, kernel)
+
+        def left_companion(t):
+            return (mp.sinc(t) ** (2 * a + 2 * nu + 1)
+                    * mp.cos(t) ** (2 * b + 1)
+                    * mp.hyp0f1(nu + 1, -w ** 2 * mp.sin(t) ** 4 / 4)
+                    / mp.gamma(nu + 1) * (w / 2) ** nu)
+
+        def right_companion(u):
+            return (mp.cos(u) ** (2 * a + 1) * mp.sinc(u) ** (2 * b + 1)
+                    * mp.besselj(nu, w * mp.cos(u) ** 2))
+
+        for got, companion, p, sign in ((left, left_companion, p_a, 1.0),
+                                        (right, right_companion, p_b, -1.0)):
+            want = np.zeros(13)
+            if p <= 12:
+                with mp.workdps(60):
+                    want[p:] = [sign ** p * float(c)
+                                for c in mp.taylor(companion, 0, 12 - p)]
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(
+                np.abs(want)), (kernel, sign)
+        if p_a > 12:
+            assert not left.any()
 
 
 class TestOliverMoments:

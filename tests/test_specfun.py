@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from oscbessel.errors import ConvergenceError, DomainError, PoleError
-from oscbessel.specfun import (ExtendedReal, _bessel_j_ladder, bessel_j,
-                               bessel_j_jet, gamma, hyp2f3,
+from oscbessel.specfun import (_bessel_j_ladder, bessel_j, bessel_j_jet,
+                               gamma, hyp2f3, jet_compose, jet_mul, jet_pow,
                                shifted_cheb_power_coeffs)
 
 
@@ -35,11 +35,11 @@ class TestBesselJ:
 
     def test_series_oracle_at_one(self):
         # 60-term ascending series summed at extended precision.
-        acc = ExtendedReal(0.0, prec=128)
-        for m in range(60):
-            term = ExtendedReal((-1) ** m, prec=128) / ExtendedReal(
-                float(mp.factorial(m)) ** 2 * 4.0 ** m, prec=128)
-            acc = acc + term
+        with mp.workprec(128):
+            acc = mp.mpf(0)
+            for m in range(60):
+                acc += mp.mpf((-1) ** m) / (
+                    float(mp.factorial(m)) ** 2 * 4.0 ** m)
         assert abs(bessel_j(0.0, 1.0) - float(acc)) < 1e-14
 
     def test_grid_against_mpmath(self):
@@ -62,10 +62,10 @@ class TestBesselJ:
 class TestBesselJet:
     def test_order_zero_and_first_derivative(self):
         jet0 = bessel_j_jet(1.7, 3.0, 0)
-        assert jet0.coefficients[0] == pytest.approx(bessel_j(1.7, 3.0))
+        assert jet0[0] == pytest.approx(bessel_j(1.7, 3.0))
         jet1 = bessel_j_jet(0.0, 1.0, 1)
-        assert jet1.coefficients[1] == pytest.approx(-bessel_j(1.0, 1.0),
-                                                     abs=1e-14)
+        assert jet1[1] == pytest.approx(-bessel_j(1.0, 1.0),
+                                     abs=1e-14)
 
     def test_against_finite_differences(self):
         jet = bessel_j_jet(0.0, 2.0, 4)
@@ -80,7 +80,7 @@ class TestBesselJet:
         g = np.array([bessel_j(0.0, 2.0 + h4 * i) for i in range(-2, 3)])
         d4 = (g[4] - 4 * g[3] + 6 * g[2] - 4 * g[1] + g[0]) / h4 ** 4
         for n, want in ((1, d1), (2, d2), (3, d3), (4, d4)):
-            got = jet.coefficients[n]
+            got = jet[n]
             fd = want / math.factorial(n)
             assert abs(got - fd) <= 1e-7 * (1.0 + abs(fd)), n
 
@@ -101,11 +101,39 @@ class TestBesselJet:
         for nu in (0.0, 1.0, 2.5, 7.0):
             for x in (0.5, 1.0, 3.0, 10.0, 40.0, 150.0):
                 jet = bessel_j_jet(nu, x, 2)
-                j0 = jet.coefficients[0]
-                j1 = jet.coefficients[1]
-                j2 = 2.0 * jet.coefficients[2]
+                j0 = jet[0]
+                j1 = jet[1]
+                j2 = 2.0 * jet[2]
                 resid = x * x * j2 + x * j1 + (x * x - nu * nu) * j0
                 assert abs(resid) <= 1e-9 * max(1.0, abs(x * x * j0))
+
+
+class TestJetArithmetic:
+    def test_product_truncates_at_first_order(self):
+        got = jet_mul(np.array([1.0, 2.0, 3.0]), np.array([4.0, 5.0, 6.0]))
+        assert got.tolist() == [4.0, 13.0, 28.0]
+
+    def test_power_against_mpmath_taylor(self):
+        cos = np.array([(1, 0, -1, 0)[n % 4] / math.factorial(n)
+                        for n in range(9)])
+        want = mp.taylor(lambda x: mp.cos(x) ** 0.7, 0, 8)
+        assert np.allclose(jet_pow(cos, 0.7), [float(c) for c in want],
+                           rtol=0, atol=1e-15)
+
+    def test_compose_against_mpmath_taylor(self):
+        # exp(sin u): the exp series composed with the sin jet.
+        sin = np.array([(0, 1, 0, -1)[n % 4] / math.factorial(n)
+                        for n in range(9)])
+        exp = np.array([1.0 / math.factorial(n) for n in range(9)])
+        want = mp.taylor(lambda x: mp.exp(mp.sin(x)), 0, 8)
+        assert np.allclose(jet_compose(sin, exp), [float(c) for c in want],
+                           rtol=0, atol=1e-15)
+
+    def test_domain_checks(self):
+        with pytest.raises(DomainError):
+            jet_pow(np.array([-1.0, 1.0]), 0.5)
+        with pytest.raises(DomainError):
+            jet_compose(np.array([1.0, 1.0]), np.array([1.0, 1.0]))
 
 
 class TestHyp2f3:
