@@ -112,6 +112,8 @@ def convergence_study(spec: ProblemSpec, N_list, reference: float):
     N_list = [int(n) for n in N_list]
     if any(b <= a for a, b in zip(N_list, N_list[1:])) or not N_list:
         raise DomainError("N_list must be nonempty and strictly increasing")
+    if not math.isfinite(reference):
+        raise DomainError(f"reference must be finite, got {reference}")
     _cached_table(spec, N_list[-1])   # one build, all N reuse the prefix
     records = []
     for n in N_list:

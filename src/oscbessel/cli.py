@@ -11,104 +11,85 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
 from .ccf import ccf_integrate, convergence_study, fit_rate
 from .chebfit import ChebyshevExpansion, cc_points, cheb_interp_coeffs
-from .errors import (AccuracyError, ConvergenceError, DomainError,
-                     OscBesselError, PoleError, SingularSystemError)
+from .errors import DomainError, OscBesselError
 from .moments import moment_table, recurrence_residual
 from .oracle import OracleConfig, reference_integral, reference_moments
 from .problem import ProblemSpec
 
-__all__ = ["IntegrandDescriptor", "parse_config", "execute", "emit_report",
+__all__ = ["parse_integrand", "parse_config", "execute", "emit_report",
            "main"]
-
-_NUMERICAL_ERRORS = (AccuracyError, ConvergenceError, PoleError,
-                     SingularSystemError)
 
 
 class UsageError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class IntegrandDescriptor:
-    """Registry name plus its numeric parameters (``user`` also takes a path)."""
+def parse_integrand(text: str):
+    """'name:key=value,...' -> (callable, oracle breakpoints).
 
-    name: str
-    parameters: dict = field(default_factory=dict)
-    path: str = ""
-
-
-def parse_integrand(text: str) -> IntegrandDescriptor:
+    The builder takes the values as keywords; all are numbers but ``path``.
+    """
     name, _, rest = text.partition(":")
-    params, path = {}, ""
+    params = {}
     if rest:
         for item in rest.split(","):
             key, sep, value = item.partition("=")
             if not sep or not key:
                 raise UsageError(f"--f: malformed parameter {item!r}")
-            if key == "path":
-                path = value
-                continue
             try:
-                params[key] = float(value)
+                params[key] = value if key == "path" else float(value)
             except ValueError:
                 raise UsageError(f"--f: parameter {key}={value!r} is not a "
                                  "number") from None
     if name not in _REGISTRY:
         raise UsageError(f"--f: unknown integrand {name!r} (choices: "
                          + ", ".join(sorted(_REGISTRY)) + ")")
-    return IntegrandDescriptor(name, params, path)
+    return _REGISTRY[name](**params)
 
 
-def _build_abs_pow(desc):
-    c = desc.parameters.get("c", 0.5)
-    k = desc.parameters.get("k", 1.0)
+def _build_abs_pow(c=0.5, k=1.0, **_):
     breakpoints = (c,) if 0.0 < c < 1.0 else ()
     return (lambda x: abs(x - c) ** k), breakpoints
 
 
-def _build_one_minus_x2_pow(desc):
-    p = desc.parameters.get("p", 1.0)
+def _build_one_minus_x2_pow(p=1.0, **_):
     return (lambda x: (1.0 - x * x) ** p), ()
 
 
-def _build_cheb_poly(desc):
+def _build_cheb_poly(path="", **params):
     degree = -1
-    for key in desc.parameters:
+    for key in params:
         if not (key.startswith("c") and key[1:].isdigit()):
             raise UsageError(f"--f: cheb_poly takes c0=...,c1=..., got {key!r}")
         degree = max(degree, int(key[1:]))
     if degree < 0:
         raise UsageError("--f: cheb_poly needs at least one coefficient")
-    coeffs = [desc.parameters.get(f"c{i}", 0.0) for i in range(degree + 1)]
+    coeffs = [params.get(f"c{i}", 0.0) for i in range(degree + 1)]
     return ChebyshevExpansion(coeffs), ()
 
 
-def _build_smooth_exp(desc):
+def _build_smooth_exp(**_):
     return math.exp, ()
 
 
-def _build_runge(desc):
+def _build_runge(s=25.0, c=0.5, **_):
     # Smooth rational bump 1/(1 + s(x-c)^2): analytic, but with a slowly
     # decaying Chebyshev tail, so fixed-N quadrature error is measurable.
-    s = desc.parameters.get("s", 25.0)
-    c = desc.parameters.get("c", 0.5)
     return (lambda x: 1.0 / (1.0 + s * (x - c) ** 2)), ()
 
 
-def _build_user(desc):
-    if not desc.path:
+def _build_user(path="", **_):
+    if not path:
         raise UsageError("--f: user integrand needs path=<csv of samples>")
     try:
-        samples = np.loadtxt(desc.path, delimiter=",", ndmin=1)
+        samples = np.loadtxt(path, delimiter=",", ndmin=1)
     except OSError as exc:
-        raise UsageError(f"--f: cannot read {desc.path}: {exc}") from None
+        raise UsageError(f"--f: cannot read {path}: {exc}") from None
     # Samples are f at cc_points(len-1); the interpolant stands in for f,
     # so re-sampling at the same nodes reproduces them exactly.
     return cheb_interp_coeffs(samples), ()
@@ -124,11 +105,6 @@ _REGISTRY = {
 }
 
 
-def build_integrand(desc: IntegrandDescriptor):
-    """Resolve a descriptor to (callable, oracle breakpoints)."""
-    return _REGISTRY[desc.name](desc)
-
-
 def parse_n_range(text: str):
     """'256' -> [256]; '16,32' -> [16, 32]; '16:1024:dyadic' -> doublings."""
     if ":" in text:
@@ -141,11 +117,9 @@ def parse_n_range(text: str):
             raise UsageError(f"--N: bad bounds in {text!r}") from None
         if lo < 1 or hi < lo:
             raise UsageError(f"--N: need 1 <= lo <= hi in {text!r}")
-        out = []
-        n = lo
-        while n <= hi:
-            out.append(n)
-            n *= 2
+        out = [lo]
+        while 2 * out[-1] <= hi:
+            out.append(2 * out[-1])
         return out
     try:
         out = [int(tok) for tok in text.split(",")]
@@ -154,20 +128,6 @@ def parse_n_range(text: str):
     if any(n < 1 for n in out):
         raise UsageError("--N: values must be >= 1")
     return out
-
-
-@dataclass
-class RunPlan:
-    command: str
-    spec: Optional[ProblemSpec]
-    descriptor: Optional[IntegrandDescriptor]
-    breakpoints: tuple
-    N_list: list
-    tol: float
-    format: str
-    out: str
-    reference: Optional[float]
-    window: Optional[tuple]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -214,37 +174,33 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def parse_config(argv) -> RunPlan:
+def parse_config(argv) -> argparse.Namespace:
+    """The parsed flags, with spec, breakpoints, N_list and window resolved."""
     ns = _build_parser().parse_args(argv)
-    command = ns.command
-    spec = None
-    descriptor = None
-    breakpoints = ()
-    N_list = []
-    if command != "validate":
+    ns.spec, ns.breakpoints, ns.N_list = None, (), []
+    if ns.command != "validate":
         integrand = None
         if ns.f is not None:
-            descriptor = parse_integrand(ns.f)
-            integrand, breakpoints = build_integrand(descriptor)
-        spec = ProblemSpec(ns.alpha, ns.beta, ns.nu, ns.omega,
-                           integrand=integrand)
-        N_list = parse_n_range(ns.N)
-    if command in ("integrate", "moments") and len(N_list) != 1:
-        raise UsageError(f"--N: {command} takes a single N")
-    if command == "study" and len(N_list) < 2:
+            integrand, ns.breakpoints = parse_integrand(ns.f)
+        ns.spec = ProblemSpec(ns.alpha, ns.beta, ns.nu, ns.omega,
+                              integrand=integrand)
+        ns.N_list = parse_n_range(ns.N)
+    if ns.command in ("integrate", "moments") and len(ns.N_list) != 1:
+        raise UsageError(f"--N: {ns.command} takes a single N")
+    if ns.command == "study" and len(ns.N_list) < 2:
         raise UsageError("--N: study needs a range or list of N values")
-    if ns.tol < 1e-14:
+    if not ns.tol >= 1e-14:     # written so that NaN fails it too
         raise UsageError("--tol must be >= 1e-14")
-    window = None
+    if math.isinf(ns.tol):
+        raise UsageError("--tol must be finite")
     if ns.window is not None:
         try:
             start, stop = (int(tok) for tok in ns.window.split(":"))
         except ValueError:
             raise UsageError(f"--window: expected start:stop, got "
                              f"{ns.window!r}") from None
-        window = (start, stop)
-    return RunPlan(command, spec, descriptor, breakpoints, N_list, ns.tol,
-                   ns.format, ns.out, ns.reference, window)
+        ns.window = (start, stop)
+    return ns
 
 
 def _fmt(x) -> str:
@@ -252,41 +208,39 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _run_integrate(plan: RunPlan):
-    q = ccf_integrate(plan.spec, plan.N_list[0])
+def _run_integrate(ns: argparse.Namespace):
+    q = ccf_integrate(ns.spec, ns.N_list[0])
     header = ["value", "N", "moment_err_est", "coeff_tail"]
     rows = [[_fmt(q.value), str(q.N), _fmt(q.moment_err_est),
              _fmt(q.coeff_tail)]]
-    return header, rows, []
+    return header, rows, [], True
 
 
-def _run_moments(plan: RunPlan):
-    table = moment_table(plan.spec, plan.N_list[0])
+def _run_moments(ns: argparse.Namespace):
+    table = moment_table(ns.spec, ns.N_list[0])
     header = ["k", "M", "method", "err_est"]
     rows = [[str(k), _fmt(table.values[k]), table.method[k],
              _fmt(table.err_est[k])]
             for k in range(table.N + 1)]
-    return header, rows, []
+    return header, rows, [], True
 
 
-def _run_study(plan: RunPlan):
-    reference = plan.reference
+def _run_study(ns: argparse.Namespace):
+    reference = ns.reference
     if reference is None:
         reference, _ = reference_integral(
-            plan.spec, OracleConfig(rel_tol=plan.tol),
-            breakpoints=plan.breakpoints)
-    records = convergence_study(plan.spec, plan.N_list, reference)
+            ns.spec, OracleConfig(rel_tol=ns.tol),
+            breakpoints=ns.breakpoints)
+    records = convergence_study(ns.spec, ns.N_list, reference)
     scale = max(abs(reference), 1e-300)
     header = ["N", "approx", "reference", "abs_err", "scaled_err"]
     rows = [[str(r.N), _fmt(r.approx), _fmt(r.reference), _fmt(r.abs_err),
              _fmt(r.abs_err / scale)] for r in records]
-    notes = []
     try:
-        rate = fit_rate(records, plan.window)
-        notes.append(f"rate {_fmt(rate)}")
+        note = f"rate {_fmt(fit_rate(records, ns.window))}"
     except DomainError as exc:
-        notes.append(f"rate unavailable: {exc}")
-    return header, rows, notes
+        note = f"rate unavailable: {exc}"
+    return header, rows, [note], True
 
 
 def _validation_checks(tol: float):
@@ -302,12 +256,8 @@ def _validation_checks(tol: float):
     yield ("recurrence-residual", worst <= 1e-8, f"max {worst:.3e}")
 
     ks = [0, 3, 17, 64, 150, 256]
-    oracle = reference_moments(spec, ks, cfg)
-    rel = 0.0
-    for k in ks:
-        ref, err = oracle[k]
-        rel = max(rel, abs(table.values[k] - ref)
-                  / max(abs(ref), 1e2 * err, 1e-280))
+    rel = max(abs(table.values[k] - ref) / max(abs(ref), 1e2 * err, 1e-280)
+              for k, (ref, err) in reference_moments(spec, ks, cfg).items())
     yield ("hybrid-vs-oracle", rel <= 1e-8, f"max rel {rel:.3e}")
 
     alias_ok = True
@@ -338,14 +288,11 @@ def _validation_checks(tol: float):
            f"|Q - M(3)| = {diff:.3e}")
 
 
-def _run_validate(plan: RunPlan):
-    header = ["check", "status", "detail"]
-    rows = []
-    all_ok = True
-    for name, ok, detail in _validation_checks(plan.tol):
-        rows.append([name, "pass" if ok else "FAIL", detail])
-        all_ok = all_ok and ok
-    return header, rows, [], all_ok
+def _run_validate(ns: argparse.Namespace):
+    rows = [[name, "pass" if ok else "FAIL", detail]
+            for name, ok, detail in _validation_checks(ns.tol)]
+    ok = all(status == "pass" for _, status, _ in rows)
+    return ["check", "status", "detail"], rows, [], ok
 
 
 def emit_report(header, rows, fmt: str, destination: str) -> None:
@@ -362,36 +309,29 @@ def emit_report(header, rows, fmt: str, destination: str) -> None:
             fh.write(text)
 
 
-def execute(plan: RunPlan) -> int:
-    if plan.command == "validate":
-        header, rows, notes, all_ok = _run_validate(plan)
-        exit_code = 0 if all_ok else 2
-    else:
-        runner = {"integrate": _run_integrate, "moments": _run_moments,
-                  "study": _run_study}[plan.command]
-        header, rows, notes = runner(plan)
-        exit_code = 0
-    emit_report(header, rows, plan.format, plan.out)
+#: Each command's runner returns (header, rows, stderr notes, all checks ok).
+_RUNNERS = {"integrate": _run_integrate, "moments": _run_moments,
+            "study": _run_study, "validate": _run_validate}
+
+
+def execute(ns: argparse.Namespace) -> int:
+    header, rows, notes, ok = _RUNNERS[ns.command](ns)
+    emit_report(header, rows, ns.format, ns.out)
     for note in notes:
         print(note, file=sys.stderr)
-    return exit_code
+    return 0 if ok else 2
 
 
 def main(argv=None) -> int:
     try:
-        plan = parse_config(sys.argv[1:] if argv is None else argv)
-    except UsageError as exc:
+        return execute(parse_config(sys.argv[1:] if argv is None else argv))
+    except (UsageError, OSError) as exc:     # OSError: --out not writable
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except DomainError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
-    try:
-        return execute(plan)
-    except DomainError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return 2
-    except _NUMERICAL_ERRORS as exc:
+    except OscBesselError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

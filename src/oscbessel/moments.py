@@ -59,6 +59,9 @@ _OFFSETS = (-4, -2, -1, 0, 1, 2, 4)
 #: boundary-value solve amplifies the rounding of its seeds, so they enter
 #: it as double-double splits of these values, not as doubles.
 _PIPE_PREC = 192
+#: Largest relative disagreement allowed between the two working precisions
+#: of each closed-form 2F3 (else hyp2f3 raises ConvergenceError).
+_CLOSED_FORM_REL_TOL = 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -165,8 +168,7 @@ def recurrence_coefficients(spec: ProblemSpec, k: int) -> dict:
 # Closed-form moments
 # ---------------------------------------------------------------------------
 
-def power_moment(a: float, b: float, nu: float, omega: float,
-                 rel_tol: float = 1e-14) -> ExtendedReal:
+def power_moment(a: float, b: float, nu: float, omega: float) -> ExtendedReal:
     """I(a,b,nu,w) = int_0^1 x^a (1-x)^b J_nu(w x) dx, closed form.
 
     Gamma prefactor times 2F3 evaluated at z = -w^2/4; valid for
@@ -185,7 +187,7 @@ def power_moment(a: float, b: float, nu: float, omega: float,
         args = ((am + nm + 1) / 2, (am + nm + 2) / 2,
                 nm + 1, (am + bm + nm + 2) / 2, (am + bm + nm + 3) / 2,
                 -(wm * wm) / 4)
-    h = hyp2f3(*args, rel_tol=rel_tol, prec=_PIPE_PREC)
+    h = hyp2f3(*args, rel_tol=_CLOSED_FORM_REL_TOL, prec=_PIPE_PREC)
     with mp.workprec(_PIPE_PREC):
         pref = (mp.gamma(bm + 1) * mp.gamma(am + nm + 1)
                 * (wm / 2) ** nm

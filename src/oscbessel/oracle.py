@@ -24,16 +24,20 @@ __all__ = ["OracleConfig", "reference_integral", "reference_moment",
            "reference_moments"]
 
 
+#: Interior Gauss-Kronrod panel evaluations one integral may spend.
+_MAX_PANELS = 4096
+
+
 @dataclass(frozen=True)
 class OracleConfig:
     rel_tol: float = 1e-12
-    max_panels: int = 4096
 
     def __post_init__(self):
-        if self.rel_tol < 1e-14:
-            raise DomainError("rel_tol below 1e-14 is not supported")
-        if self.max_panels < 4:
-            raise DomainError("max_panels must be >= 4")
+        # Written so that NaN fails it: a NaN tolerance would make every
+        # later err > tol test False and switch off refinement and gates.
+        if not 1e-14 <= self.rel_tol < math.inf:
+            raise DomainError("rel_tol must be finite and >= 1e-14, got "
+                              f"{self.rel_tol}")
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +246,7 @@ def reference_integral(spec: ProblemSpec, cfg: OracleConfig | None = None,
                 1e-300)
     abs_tol = cfg.rel_tol * scale / max(1, lo.size)
     val, err = _gk_adaptive(integrand, lo, hi, val, err, abs_tol,
-                            cfg.max_panels)
+                            _MAX_PANELS)
 
     value = math.fsum([v for v, _ in ends] + val.tolist())
     err_est = sum(e for _, e in ends) + float(err.sum())

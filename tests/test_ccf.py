@@ -95,6 +95,12 @@ class TestConvergenceStudy:
         with pytest.raises(DomainError):
             convergence_study(spec, [], 1.0)
 
+    @pytest.mark.parametrize("reference", [math.inf, -math.inf, math.nan])
+    def test_requires_finite_reference(self, reference):
+        spec = ProblemSpec(0.2, 0.4, 0.0, 20.0, integrand=math.exp)
+        with pytest.raises(DomainError, match="reference must be finite"):
+            convergence_study(spec, [4, 8], reference)
+
     def test_cache_reuse_is_transparent(self):
         spec = ProblemSpec(0.3, 0.1, 0.0, 40.0, integrand=math.exp)
         clear_moment_cache()

@@ -22,11 +22,12 @@ class TestParsing:
              "--omega", "200", "--f", "abs_pow:c=0.5,k=1", "--N", "256"])
         assert plan.command == "integrate"
         assert plan.spec.alpha == 0.2 and plan.spec.omega == 200.0
-        assert plan.descriptor.name == "abs_pow"
-        assert plan.descriptor.parameters == {"c": 0.5, "k": 1.0}
         assert plan.N_list == [256]
         assert plan.breakpoints == (0.5,)
         assert plan.spec.integrand(0.75) == pytest.approx(0.25)
+        f, breakpoints = cli.parse_integrand("abs_pow:c=0.25,k=3")
+        assert f(0.75) == pytest.approx(0.125)
+        assert breakpoints == (0.25,)
 
     def test_dyadic_range_expansion(self):
         assert cli.parse_n_range("16:1024:dyadic") == [
@@ -46,13 +47,13 @@ class TestParsing:
                               "--nu", "0", "--omega", "200", "--N", "8"])
 
     def test_registry_coverage(self):
-        f, _ = cli.build_integrand(cli.parse_integrand("smooth_exp"))
+        f, _ = cli.parse_integrand("smooth_exp")
         assert f(1.0) == pytest.approx(math.e)
-        f, _ = cli.build_integrand(cli.parse_integrand("one_minus_x2_pow:p=0.8"))
+        f, _ = cli.parse_integrand("one_minus_x2_pow:p=0.8")
         assert f(0.5) == pytest.approx(0.75 ** 0.8)
-        f, _ = cli.build_integrand(cli.parse_integrand("cheb_poly:c0=1,c2=2"))
+        f, _ = cli.parse_integrand("cheb_poly:c0=1,c2=2")
         assert f(1.0) == pytest.approx(3.0)
-        f, _ = cli.build_integrand(cli.parse_integrand("runge:s=50"))
+        f, _ = cli.parse_integrand("runge:s=50")
         assert f(0.5) == pytest.approx(1.0)
 
 
@@ -94,6 +95,31 @@ class TestExitCodes:
         code, out, err = run(argv, capsys)
         assert code == 1
         assert "unrecognized arguments" in err and out == ""
+
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tol_is_1(self, capsys, tol):
+        code, out, err = run(
+            ["study", "--alpha", "-0.8", "--beta", "-0.9", "--nu", "0",
+             "--omega", "200", "--f", "abs_pow:c=0.37,k=0.5",
+             "--N", "8,16,32,64", "--tol", tol], capsys)
+        assert code == 1
+        assert "usage error: --tol" in err and out == ""
+
+    def test_non_finite_reference_is_2(self, capsys):
+        code, out, err = run(
+            ["study", "--alpha", "0.2", "--beta", "0.4", "--nu", "0",
+             "--omega", "20", "--f", "smooth_exp", "--N", "4,8,16,32",
+             "--reference", "inf"], capsys)
+        assert code == 2
+        assert "reference must be finite" in err and out == ""
+
+    def test_unwritable_out_is_1(self, capsys, tmp_path):
+        code, _, err = run(
+            ["moments", "--alpha", "0.2", "--beta", "0.4", "--nu", "0",
+             "--omega", "20", "--N", "8",
+             "--out", str(tmp_path / "missing" / "x.csv")], capsys)
+        assert code == 1
+        assert err.startswith("usage error:")
 
     def test_numerical_failure_is_3(self, capsys, monkeypatch):
         def explode(plan):
@@ -219,3 +245,14 @@ def test_validate_passes(capsys):
     lines = out.strip().split("\n")
     assert lines[0] == "check,status,detail"
     assert all(",pass," in line for line in lines[1:])
+
+
+def test_validate_failure_is_2_and_still_reported(tmp_path, monkeypatch):
+    def checks(tol):
+        yield ("first", True, "fine")
+        yield ("second", False, "broken")
+    monkeypatch.setattr(cli, "_validation_checks", checks)
+    out = tmp_path / "v.csv"
+    assert cli.main(["validate", "--out", str(out)]) == 2
+    assert out.read_text() == (
+        "check,status,detail\nfirst,pass,fine\nsecond,FAIL,broken\n")

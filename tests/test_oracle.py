@@ -6,6 +6,7 @@ import pytest
 
 from scipy.special import jn_zeros
 
+from oscbessel.errors import DomainError
 from oscbessel.moments import moment_table, power_moment, starting_moments
 from oscbessel.oracle import (OracleConfig, _bessel_zeros, reference_integral,
                               reference_moment, reference_moments)
@@ -46,6 +47,14 @@ class TestReferenceIntegral:
                            integrand=lambda x: seen.add(type(x)) or 1.0)
         reference_integral(spec)
         assert seen == {float}
+
+
+@pytest.mark.parametrize("rel_tol", [float("nan"), float("inf"), 1e-15])
+def test_config_rejects_unusable_tolerance(rel_tol):
+    # A NaN tolerance makes every err > tol test False, which would switch
+    # off refinement, the tanh-sinh stop and the final AccuracyError gate.
+    with pytest.raises(DomainError):
+        OracleConfig(rel_tol=rel_tol)
 
 
 def test_bessel_zeros_match_scipy():
