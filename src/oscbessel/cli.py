@@ -8,6 +8,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import sys
@@ -32,7 +33,7 @@ class UsageError(Exception):
 def parse_integrand(text: str):
     """'name:key=value,...' -> (callable, oracle breakpoints).
 
-    The builder takes the values as keywords; all are numbers but ``path``.
+    Values are the builder's keywords, numbers but ``path``; no other keys.
     """
     name, _, rest = text.partition(":")
     params = {}
@@ -49,19 +50,23 @@ def parse_integrand(text: str):
     if name not in _REGISTRY:
         raise UsageError(f"--f: unknown integrand {name!r} (choices: "
                          + ", ".join(sorted(_REGISTRY)) + ")")
+    try:
+        inspect.signature(_REGISTRY[name]).bind(**params)
+    except TypeError as exc:
+        raise UsageError(f"--f: {name}: {exc}") from None
     return _REGISTRY[name](**params)
 
 
-def _build_abs_pow(c=0.5, k=1.0, **_):
+def _build_abs_pow(c=0.5, k=1.0):
     breakpoints = (c,) if 0.0 < c < 1.0 else ()
     return (lambda x: abs(x - c) ** k), breakpoints
 
 
-def _build_one_minus_x2_pow(p=1.0, **_):
+def _build_one_minus_x2_pow(p=1.0):
     return (lambda x: (1.0 - x * x) ** p), ()
 
 
-def _build_cheb_poly(path="", **params):
+def _build_cheb_poly(**params):
     degree = -1
     for key in params:
         if not (key.startswith("c") and key[1:].isdigit()):
@@ -73,17 +78,17 @@ def _build_cheb_poly(path="", **params):
     return ChebyshevExpansion(coeffs), ()
 
 
-def _build_smooth_exp(**_):
+def _build_smooth_exp():
     return math.exp, ()
 
 
-def _build_runge(s=25.0, c=0.5, **_):
+def _build_runge(s=25.0, c=0.5):
     # Smooth rational bump 1/(1 + s(x-c)^2): analytic, but with a slowly
     # decaying Chebyshev tail, so fixed-N quadrature error is measurable.
     return (lambda x: 1.0 / (1.0 + s * (x - c) ** 2)), ()
 
 
-def _build_user(path="", **_):
+def _build_user(path=""):
     if not path:
         raise UsageError("--f: user integrand needs path=<csv of samples>")
     try:
@@ -189,10 +194,8 @@ def parse_config(argv) -> argparse.Namespace:
         raise UsageError(f"--N: {ns.command} takes a single N")
     if ns.command == "study" and len(ns.N_list) < 2:
         raise UsageError("--N: study needs a range or list of N values")
-    if not ns.tol >= 1e-14:     # written so that NaN fails it too
-        raise UsageError("--tol must be >= 1e-14")
-    if math.isinf(ns.tol):
-        raise UsageError("--tol must be finite")
+    if not 1e-14 <= ns.tol < math.inf:     # written so that NaN fails it
+        raise UsageError("--tol must be finite and >= 1e-14")
     if ns.window is not None:
         try:
             start, stop = (int(tok) for tok in ns.window.split(":"))

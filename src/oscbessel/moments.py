@@ -6,8 +6,8 @@ k <= w/2, Oliver's boundary-value reformulation beyond that, and an
 endpoint asymptotic expansion for the two trailing boundary moments.  The
 nine-term recurrence ties M(k-4)..M(k+4) with the offsets +-3 absent; the
 symmetry M(-j) = M(j) resolves every negative index.  M(0)..M(3) come
-from four closed forms (Gamma and 2F3) and M(4), M(5) from the recurrence
-rows m = 0, 1 folded by that symmetry, all in 192-bit mpmath; both
+from four closed forms (Gamma and a 256-bit 2F3) and M(4), M(5) from the
+recurrence rows m = 0, 1 folded by that symmetry, in 192-bit mpmath; both
 recurrences form one float64 banded LU system, refined with double-double
 (hi + lo) residuals.  The endpoint jets are built once per table.
 """
@@ -59,9 +59,6 @@ _OFFSETS = (-4, -2, -1, 0, 1, 2, 4)
 #: boundary-value solve amplifies the rounding of its seeds, so they enter
 #: it as double-double splits of these values, not as doubles.
 _PIPE_PREC = 192
-#: Largest relative disagreement allowed between the two working precisions
-#: of each closed-form 2F3 (else hyp2f3 raises ConvergenceError).
-_CLOSED_FORM_REL_TOL = 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +169,8 @@ def power_moment(a: float, b: float, nu: float, omega: float) -> ExtendedReal:
     """I(a,b,nu,w) = int_0^1 x^a (1-x)^b J_nu(w x) dx, closed form.
 
     Gamma prefactor times 2F3 evaluated at z = -w^2/4; valid for
-    a + nu > -1 and b > -1.  err_est covers the 2F3's two-precision
-    disagreement and the rounding of the product at the pipeline precision.
+    a + nu > -1 and b > -1.  err_est covers the 2F3's 2^-192 relative bound
+    and the rounding of the product at the pipeline precision.
     """
     if not float(a) + float(nu) > -1.0:
         raise DomainError(f"need a + nu > -1, got {float(a) + float(nu)}")
@@ -187,7 +184,7 @@ def power_moment(a: float, b: float, nu: float, omega: float) -> ExtendedReal:
         args = ((am + nm + 1) / 2, (am + nm + 2) / 2,
                 nm + 1, (am + bm + nm + 2) / 2, (am + bm + nm + 3) / 2,
                 -(wm * wm) / 4)
-    h = hyp2f3(*args, rel_tol=_CLOSED_FORM_REL_TOL, prec=_PIPE_PREC)
+    h = hyp2f3(*args)
     with mp.workprec(_PIPE_PREC):
         pref = (mp.gamma(bm + 1) * mp.gamma(am + nm + 1)
                 * (wm / 2) ** nm
@@ -432,7 +429,8 @@ class BandedSystem:
         with extra-precise residuals (Demmel et al., ACM TOMS 32, 2006).
         It stops once a step leaves every hi part unchanged, or after
         _MAX_REFINE steps.  The last residual is the audit: a row above
-        1e-10 of its largest term raises AccuracyError.
+        1e-10 of its largest term, floored at 1e-16 of the largest row's
+        (roundoff of the table), raises AccuracyError.
         """
         from scipy.linalg.lapack import dgbtrf, dgbtrs
 
@@ -455,6 +453,7 @@ class BandedSystem:
             if step and np.array_equal(new, vh[unknown]):
                 break
             vh[unknown] = new
+        scale = np.maximum(scale, 1e-16 * scale.max())
         bad = ~(np.abs(r) <= 1e-10 * scale)
         if bad.any():
             i = int(np.argmax(bad))

@@ -63,6 +63,16 @@ class TestExitCodes:
         assert code == 1
         assert "usage error" in err
 
+    @pytest.mark.parametrize("spec", ["abs_pow:kk=3", "smooth_exp:c=1",
+                                      "cheb_poly:c0=1,path=x.csv"])
+    def test_unknown_integrand_key_is_1(self, capsys, spec):
+        code, out, err = run(
+            ["integrate", "--alpha", "0.2", "--beta", "0.4", "--nu", "0",
+             "--omega", "200", "--f", spec, "--N", "8"], capsys)
+        assert code == 1
+        assert out == ""
+        assert "usage error" in err
+
     def test_validation_error_is_2(self, capsys):
         code, _, err = run(
             ["integrate", "--alpha", "-1.0", "--beta", "0.4", "--nu", "0",

@@ -518,6 +518,21 @@ class TestMomentTable:
             assert abs(table.values[k] - refs[k]) <= (
                 1e-8 * abs(refs[k]) + errs[k]), k
 
+    def test_rows_decayed_to_roundoff_pass_the_audit(self):
+        # 2 alpha + 2 nu + 2 and 2 beta + 2 are integers, so the moments
+        # past k ~ omega/2 fall to ~1e-26.  Oliver rows there have terms of
+        # ~1e-22 and residuals of ~1e-32: roundoff of the table's scale,
+        # not a failed solve, which the audit must not report.
+        spec = ProblemSpec(0.0, 1.5, 2.5, 1e3)
+        table = moment_table(spec, 512)
+        ks = list(range(0, 513, 16))
+        refs, errs = oracle_vals(spec, ks)
+        for k in ks:
+            diff = abs(table.values[k] - refs[k])
+            assert diff <= 1e-8 * abs(refs[k]) + errs[k], k   # criterion-04
+            if errs[k] < 1e-9 * abs(refs[k]):
+                assert diff <= 1e-8 * abs(refs[k]), k
+
     def test_call_structure(self, monkeypatch):
         # Four 2F3 closed forms seed the table, and the endpoint jets are
         # built once for both end moments.
@@ -536,6 +551,19 @@ class TestMomentTable:
             counted(name)
         moment_table(ProblemSpec(0.2, 0.4, 0.0, 20.0), 256)
         assert calls == {"power_moment": 4, "_right_smooth_jet": 1}
+
+    def test_one_mpmath_2f3_per_closed_form(self, monkeypatch):
+        # Each of the four closed forms evaluates its 2F3 once.
+        calls = []
+        original = mp.hyp2f3
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(mp, "hyp2f3", counted)
+        moment_table(ProblemSpec(0.2, 0.4, 0.0, 20.0), 256)
+        assert len(calls) == 4
 
     def test_negative_index_symmetry(self):
         table = moment_table(ProblemSpec(0.2, 0.4, 0.0, 20.0), 16)

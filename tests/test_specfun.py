@@ -3,6 +3,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from mpmath.libmp import NoConvergence
 
 from oscbessel.errors import ConvergenceError, DomainError, PoleError
 from oscbessel.specfun import (_bessel_j_ladder, bessel_j, bessel_j_jet,
@@ -161,10 +162,13 @@ class TestHyp2f3:
         assert got.err_est <= 1e-10 * abs(float(want))
 
     def test_self_consistency(self):
+        # A 192-bit evaluation lies within err_est of the 256-bit value.
         args = (0.6, 1.1, 1.0, 1.3, 1.8, -100.0)
-        loose = float(hyp2f3(*args, rel_tol=1e-11))
-        tight = float(hyp2f3(*args, rel_tol=1e-15))
-        assert abs(loose - tight) <= 1e-11 * abs(tight)
+        got = hyp2f3(*args)
+        assert got.err_est == 2.0 ** -192 * abs(float(got.value))
+        with mp.workprec(192):
+            lower = mp.hyp2f3(*args)
+        assert abs(got.value - lower) <= got.err_est
 
     def test_large_argument_at_fixed_precision(self):
         # z = -(1e4/2)^2, past where the series summation gave up.
@@ -176,10 +180,36 @@ class TestHyp2f3:
             floor = mp.mpf(2) ** -250 * abs(want)
             assert abs(got.value - want) <= got.err_est + floor
 
-    def test_disagreement_beyond_tolerance_raises(self):
-        # The 192- and 256-bit values differ in their last bits.
-        with pytest.raises(ConvergenceError):
-            hyp2f3(0.6, 1.1, 1.0, 1.3, 1.8, -100.0, rel_tol=0.0)
+    @pytest.mark.parametrize("w", [700.0, 1000.0, 1200.0, 2000.0])
+    def test_err_est_bounds_error_across_branch_switch(self, w):
+        # mpmath moves from the convergent series to its asymptotic
+        # expansion in this range of omega; the bound must hold on both
+        # sides.  Parameters are moment-shaped, as power_moment forms them.
+        for nu in (0.0, 7.0, 20.0):
+            for a, b in ((-0.9, -0.9), (1.5, 1.5)):
+                with mp.workprec(192):
+                    am, bm, n, wm = (mp.mpf(v) for v in (a, b, nu, w))
+                    args = ((am + n + 1) / 2, (am + n + 2) / 2, n + 1,
+                            (am + bm + n + 2) / 2, (am + bm + n + 3) / 2,
+                            -(wm * wm) / 4)
+                got = hyp2f3(*args)
+                with mp.workprec(600):
+                    err = abs(got.value - mp.hyp2f3(*args))
+                assert err <= got.err_est, (w, nu, a, float(err))
+
+    @pytest.mark.parametrize("failure", [
+        NoConvergence("no convergence"),
+        ValueError("hypsum() failed to converge to the requested 256 bits"),
+    ], ids=["NoConvergence", "ValueError"])
+    def test_mpmath_failure_raises_convergence_error(self, monkeypatch,
+                                                     failure):
+        def fail(*args):
+            raise failure
+
+        monkeypatch.setattr(mp, "hyp2f3", fail)
+        with pytest.raises(ConvergenceError) as info:
+            hyp2f3(0.6, 1.1, 1.0, 1.3, 1.8, -100.0)
+        assert info.value.__cause__ is failure
 
     def test_pole_parameter(self):
         with pytest.raises(PoleError):
