@@ -10,12 +10,11 @@ from .errors import (AccuracyError, ConvergenceError, DomainError,
                      OscBesselError, PoleError, SingularSystemError)
 from .moments import (MomentTable, end_moment_asymptotic, forward_moments,
                       moment_table, oliver_moments, power_moment,
-                      recurrence_coefficients, recurrence_residual,
-                      starting_moments)
+                      recurrence_coefficients, recurrence_residual)
 from .oracle import (OracleConfig, reference_integral, reference_moment,
                      reference_moments)
 from .problem import ProblemSpec
-from .specfun import bessel_j, gamma, hyp2f3, shifted_cheb_power_coeffs
+from .specfun import gamma, hyp2f3, shifted_cheb_power_coeffs
 
 __version__ = "0.1.0"
 
@@ -24,12 +23,12 @@ __all__ = [
     "QuadratureResult", "ConvergenceRecord", "ccf_integrate",
     "convergence_study", "fit_rate", "clear_moment_cache",
     "ChebyshevExpansion", "cc_points", "cheb_interp_coeffs", "cheb_eval",
-    "MomentTable", "moment_table", "power_moment", "starting_moments",
+    "MomentTable", "moment_table", "power_moment",
     "forward_moments", "oliver_moments", "end_moment_asymptotic",
     "recurrence_coefficients", "recurrence_residual",
     "OracleConfig", "reference_integral", "reference_moment",
     "reference_moments",
-    "bessel_j", "gamma", "hyp2f3", "shifted_cheb_power_coeffs",
+    "gamma", "hyp2f3", "shifted_cheb_power_coeffs",
     "OscBesselError", "DomainError", "PoleError", "ConvergenceError",
     "AccuracyError", "SingularSystemError",
 ]

@@ -43,7 +43,6 @@ __all__ = [
     "BandedSystem",
     "recurrence_coefficients",
     "power_moment",
-    "starting_moments",
     "forward_moments",
     "end_moment_asymptotic",
     "oliver_moments",
@@ -198,16 +197,14 @@ def power_moment(a: float, b: float, nu: float, omega: float) -> ExtendedReal:
 
 
 def _combine(terms):
-    """(sum c v, sum |c| E + 1e-16 max |c v|) over pairs (c, (v, E)) with
-    exact rational c, summed in order at the pipeline precision."""
-    acc, err, scale = mp.mpf(0), 0.0, 0.0
+    """(sum c v, sum |c| E) over pairs (c, (v, E)) with exact rational c,
+    summed in order at the pipeline precision."""
+    acc, err = mp.mpf(0), 0.0
     with mp.workprec(_PIPE_PREC):
         for c, (v, e) in terms:
-            term = mp.mpf(c.numerator) / c.denominator * v
-            acc += term
+            acc += mp.mpf(c.numerator) / c.denominator * v
             err += abs(float(c)) * e
-            scale = max(scale, abs(float(term)))
-    return acc, err + 1e-16 * scale
+    return acc, err
 
 
 def _starting_mpf(spec: ProblemSpec, count: int):
@@ -219,7 +216,9 @@ def _starting_mpf(spec: ProblemSpec, count: int):
     M(-j) = M(j); at m = 0 the offsets -4 and +4 both land on M(4), so its
     lead is c_-4(0) + c_4(0) = w^2/8.  Values keep the 192-bit precision:
     the boundary-value solve downstream amplifies seed rounding, so they
-    must not be rounded to double prematurely.
+    must not be rounded to double prematurely.  err_est bounds the mpf
+    value's error only; a solved entry inherits its inputs' errors times
+    the row's coefficients over its lead, which amplifies at small w.
     """
     # The power-basis coefficients alternate in sign and grow like 4^k.
     with mp.workprec(_PIPE_PREC):
@@ -239,20 +238,6 @@ def _starting_mpf(spec: ProblemSpec, count: int):
         lead = row.pop(k)
         out.append(_combine((-c / lead, out[j]) for j, c in row.items()))
     return out
-
-
-def starting_moments(spec: ProblemSpec, count: int = 6):
-    """M(0)..M(count-1): the power basis of T_k* over closed forms for
-    k <= 3, recurrence rows solved for their lead entry beyond.
-
-    A solved entry inherits its inputs' errors times the row's coefficients
-    over its lead, w^2/8 or w^2/16, which amplifies at small w: at w = 1e-3
-    on (-0.5, -0.5, 1), M(6) and M(7) are good only to ~1e-14 relative.
-    The err_est of ``_starting_mpf`` covers this.
-    """
-    if not 1 <= count <= 8:
-        raise DomainError("count must be between 1 and 8")
-    return [float(v) for v, _ in _starting_mpf(spec, count)]
 
 
 # ---------------------------------------------------------------------------
@@ -553,10 +538,12 @@ def moment_table(spec: ProblemSpec, N: int) -> MomentTable:
         raise DomainError("N must be nonnegative")
     count = min(N + 1, 6)
     pairs = _starting_mpf(spec, count)
+    vals = np.array([float(v) for v, _ in pairs])
+    # a closed-form entry's estimate adds the rounding of the stored double
+    E = [e + math.ulp(x) / 2 for x, (_, e) in zip(vals.tolist(), pairs)]
     if N <= 5:
-        vals = np.array([float(v) for v, _ in pairs])
-        errs = np.array([e for _, e in pairs])
-        return MomentTable(spec, vals, ("closed-form",) * (N + 1), errs)
+        return MomentTable(spec, vals, ("closed-form",) * (N + 1),
+                           np.array(E))
     k_switch = max(5, min(N, int(spec.omega // 2)))
     boundary = {q: (float(v), float(v - float(v)))
                 for q, (v, _) in enumerate(pairs)}
@@ -577,15 +564,14 @@ def moment_table(spec: ProblemSpec, N: int) -> MomentTable:
             boundary[jj] = (v, 0.0)
             ends.append((v, e))
     system = _recurrence_system(spec, 6, k_switch, k_hi, boundary)
-    vals = np.concatenate([[float(v) for v, _ in pairs],
-                           system.solve()[0][: N - 5]])
+    vals = np.concatenate([vals, system.solve()[0][: N - 5]])
 
     # Forward error estimate: each new entry inherits the largest error
     # it is formed from, plus 1e-15 of its terms' scale over c_4.
     nf = k_switch - 5
     terms = np.abs(system.coef[0][:6, :nf] * vals[system.index[:6, :nf]])
     steps = (1e-15 * terms.sum(axis=0) / system.coef[0][6, 0]).tolist()
-    E = [e for _, e in pairs] + [0.0] * nf
+    E += [0.0] * nf
     for k, step in enumerate(steps, start=2):
         E[k + 4] = max(E[abs(k - 4)], E[k - 2], E[k - 1], E[k], E[k + 1],
                        E[k + 2]) + step

@@ -1,4 +1,4 @@
-"""Brute-force reference integrator for the Bessel transform and its moments.
+"""Independent reference integrator for the Bessel transform and its moments.
 
 Ground truth for everything else in the package: panels split at the
 kernel's sign changes, adaptive Gauss-Kronrod inside, tanh-sinh at the
@@ -27,6 +27,11 @@ __all__ = ["OracleConfig", "reference_integral", "reference_moment",
 #: Interior Gauss-Kronrod panel evaluations one integral may spend.
 _MAX_PANELS = 4096
 
+#: Rounding floor of every err_est, relative to the integral of |integrand|:
+#: QUADPACK's 50 eps (Piessens et al., 1983).  The K15 - G7 difference does
+#: not see the rounding of the nodes' values, which reaches ~18 eps of it.
+_ROUNDOFF = 50.0 * np.finfo(float).eps
+
 
 @dataclass(frozen=True)
 class OracleConfig:
@@ -41,30 +46,29 @@ class OracleConfig:
 
 
 # ---------------------------------------------------------------------------
-# Gauss-Kronrod 7/15 (QUADPACK abscissae and weights on [-1, 1])
+# Gauss-Kronrod 7/15 on [-1, 1], to 17 significant digits: the roots of
+# P_7 and of the Stieltjes polynomial E_8, weights from the moment equations
 # ---------------------------------------------------------------------------
 
 _XGK = np.array([
-    0.991455371120813, 0.949107912342759, 0.864864423359769,
-    0.741531185599394, 0.586087235467691, 0.405845151377397,
-    0.207784955007898, 0.0,
+    0.99145537112081264, 0.94910791234275852, 0.86486442335976907,
+    0.74153118559939444, 0.58608723546769113, 0.40584515137739717,
+    0.20778495500789847, 0.0,
 ])
 _WGK = np.array([
-    0.022935322010529, 0.063092092629979, 0.104790010322250,
-    0.140653259715525, 0.169004726639267, 0.190350578064785,
-    0.204432940075298, 0.209482141084728,
+    0.022935322010529225, 0.063092092629978553, 0.10479001032225018,
+    0.14065325971552592, 0.16900472663926790, 0.19035057806478541,
+    0.20443294007529889, 0.20948214108472783,
 ])
-_WG = np.array([
-    0.129484966168870, 0.279705391489277,
-    0.381830050505119, 0.417959183673469,
+_WG = np.array([       # 0 at the Kronrod-only nodes
+    0.0, 0.12948496616886969, 0.0, 0.27970539148927667,
+    0.0, 0.38183005050511894, 0.0, 0.41795918367346939,
 ])
 
-# full symmetric node set, kronrod weights, gauss weights (0 off-rule)
+# full symmetric node set, kronrod weights, gauss weights
 _GK_NODES = np.concatenate([-_XGK[:-1], _XGK[::-1]])
 _GK_WK = np.concatenate([_WGK[:-1], _WGK[::-1]])
-_wg_full = np.zeros(8)
-_wg_full[1::2] = _WG
-_GK_WGAUSS = np.concatenate([_wg_full[:-1], _wg_full[::-1]])
+_GK_WGAUSS = np.concatenate([_WG[:-1], _WG[::-1]])
 
 
 def _gk_nodes(lo, hi):
@@ -249,7 +253,7 @@ def reference_integral(spec: ProblemSpec, cfg: OracleConfig | None = None,
                             _MAX_PANELS)
 
     value = math.fsum([v for v, _ in ends] + val.tolist())
-    err_est = sum(e for _, e in ends) + float(err.sum())
+    err_est = sum(e for _, e in ends) + float(err.sum()) + _ROUNDOFF * scale
     if err_est > 100.0 * cfg.rel_tol * scale:
         raise AccuracyError(
             f"oracle integral reached err_est={err_est:.3e} "
@@ -274,15 +278,6 @@ def _cos_blocks(ks, theta):
         yield sl, np.cos(np.multiply.outer(2.0 * ks[sl], theta))
 
 
-def _tstar(k: int, x: float) -> float:
-    # stable for x in [0, 1]: T_k*(x) = cos(k arccos(2x - 1))
-    return math.cos(k * math.acos(min(1.0, max(-1.0, 2.0 * x - 1.0))))
-
-
-def _moment_xdomain(spec, k, cfg):
-    return reference_integral(spec, cfg, f=lambda x: _tstar(k, x))
-
-
 def _moment_theta(spec, ks, cfg):
     """theta-form batch: M(k) = 2 (-1)^k int_0^{pi/2} W cos(2k theta) dtheta
     with W = sin^(2a+1) cos^(2b+1) J_nu(w sin^2 theta).  All requested k
@@ -292,10 +287,14 @@ def _moment_theta(spec, ks, cfg):
     change of the panel's total is at most 0.1 rel_tol times the level's
     mass h * sum |weight * psi|, accumulated over the levels like the
     totals.  The mass, unlike a total that nearly cancels, stays above
-    rounding noise.
+    rounding noise.  Every err_est includes _ROUNDOFF times the integral
+    of |W|, ends and interior, which bounds |W cos(2 k theta)| for each k.
     """
+    cfg = cfg or OracleConfig()
+    ks = np.array(sorted(set(int(k) for k in ks)))
+    if not ks.size or ks[0] < 0:
+        raise DomainError("need one or more nonnegative moment indices")
     a, b, nu, w = spec.alpha, spec.beta, spec.nu, spec.omega
-    ks = np.asarray(ks)
     q = max(int(ks.max()), int(math.ceil(w / 2.0)), 8)
     # zeros of cos(2 q theta); tanh-sinh ends cover the first/last few
     # half-periods so every interior panel sees a smooth W
@@ -310,7 +309,7 @@ def _moment_theta(spec, ks, cfg):
     sides = ((inner[0], 2 * a + 1, 2 * b + 1, np.sin, 1.0),
              (0.5 * math.pi - inner[-1], 2 * b + 1, 2 * a + 1, np.cos,
               np.where(ks % 2 == 0, 1.0, -1.0)))
-    end_totals, end_errs = [], []
+    end_totals, end_errs, masses = [], [], []
     for length, g_end, g_far, sin_theta, sign in sides:
         totals = prev = np.zeros(ks.size)
         mass = 0.0
@@ -330,6 +329,7 @@ def _moment_theta(spec, ks, cfg):
             prev = totals
         end_totals.append(sign * totals)
         end_errs.append(err)
+        masses.append(mass)
 
     # interior half-period panels, one K15 evaluation of W per panel
     half, thetas = _gk_nodes(inner[:-1], inner[1:])
@@ -337,11 +337,12 @@ def _moment_theta(spec, ks, cfg):
     wvals = s ** (2 * a + 1) * np.cos(thetas) ** (2 * b + 1) * jv(nu, w * s * s)
     wk = half[:, None] * wvals * _GK_WK
     wd = half[:, None] * wvals * (_GK_WK - _GK_WGAUSS)
+    floor = _ROUNDOFF * (sum(masses) + float(np.abs(wk).sum()))
     left, right = end_totals
     out = {}
     for sl, c in _cos_blocks(ks, thetas):
         panels = np.einsum("kpj,pj->kp", c, wk)
-        errs = (end_errs[0][sl] + end_errs[1][sl]
+        errs = (end_errs[0][sl] + end_errs[1][sl] + floor
                 + np.abs(np.einsum("kpj,pj->kp", c, wd)).sum(axis=1))
         for k, l, r, row, e in zip(ks[sl].tolist(), left[sl], right[sl],
                                    panels, errs):
@@ -350,27 +351,13 @@ def _moment_theta(spec, ks, cfg):
     return out
 
 
-def reference_moment(spec: ProblemSpec, k: int, cfg: OracleConfig | None = None,
-                     force: str | None = None):
-    """(value, err_est) for the k-th modified moment of the weight/kernel.
-
-    Low k integrates in x with the polynomial under the oscillation-aligned
-    panels; higher k switches to the theta form whose panels track
-    cos(2 k theta) directly.  ``force`` pins the path for cross-checks.
-    """
-    if k < 0:
-        raise DomainError("k must be nonnegative")
-    cfg = cfg or OracleConfig()
-    path = force or ("x" if k <= 2.0 * spec.omega / math.pi else "theta")
-    if path == "x":
-        return _moment_xdomain(spec, k, cfg)
+def reference_moment(spec: ProblemSpec, k: int,
+                     cfg: OracleConfig | None = None):
+    """(value, err_est) for the k-th modified moment: the entry k of
+    ``reference_moments(spec, [k], cfg)``."""
     return _moment_theta(spec, [k], cfg)[k]
 
 
 def reference_moments(spec: ProblemSpec, ks, cfg: OracleConfig | None = None):
     """Batch of modified moments sharing one set of kernel evaluations."""
-    cfg = cfg or OracleConfig()
-    ks = sorted(set(int(k) for k in ks))
-    if any(k < 0 for k in ks):
-        raise DomainError("moment indices must be nonnegative")
     return _moment_theta(spec, ks, cfg)

@@ -1,9 +1,9 @@
 """Special functions and truncated Taylor series.
 
-Bessel functions of the first kind with real order and their Taylor jets,
-the generalized hypergeometric series 2F3, the gamma function, and the
-exact power-basis coefficients of shifted Chebyshev polynomials.  Bessel J
-and 2F3 come from mpmath at fixed working precisions; there is no
+Taylor jets of Bessel functions of the first kind with real order, the
+generalized hypergeometric series 2F3, the gamma function, and the exact
+power-basis coefficients of shifted Chebyshev polynomials.  Bessel J and
+2F3 come from mpmath at fixed working precisions; there is no
 hand-written series.  The jets' Bessel orders follow from two mpmath
 values by the downward three-term recurrence.  A jet is a plain numpy
 array of Taylor coefficients, with a truncated product, a real power and
@@ -24,7 +24,6 @@ from .errors import ConvergenceError, DomainError, PoleError
 __all__ = [
     "ExtendedReal",
     "gamma",
-    "bessel_j",
     "bessel_j_jet",
     "jet_mul",
     "jet_pow",
@@ -64,22 +63,11 @@ def gamma(x: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Bessel J of real order
+# Bessel J of real order: the ladder of orders behind the jets
 # ---------------------------------------------------------------------------
 
 #: Working precision (bits) of mpmath's Bessel J and of the downward ladder.
 _BESSEL_PREC = 96
-
-
-def bessel_j(nu: float, x: float) -> float:
-    """Bessel function of the first kind J_nu(x), nu >= 0, x >= 0, from
-    mpmath.besselj rounded to double."""
-    if nu < 0.0:
-        raise DomainError(f"order must be nonnegative, got nu={nu}")
-    if x < 0.0:
-        raise DomainError(f"argument must be nonnegative, got x={x}")
-    with mp.workprec(_BESSEL_PREC):
-        return float(mp.besselj(float(nu), float(x)))
 
 
 def _bessel_j_ladder(nu: float, x: float, order: int) -> list[float]:

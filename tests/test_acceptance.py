@@ -27,8 +27,7 @@ from conftest import record_criterion
 from oscbessel.ccf import ConvergenceRecord, ccf_integrate, fit_rate
 from oscbessel.chebfit import ChebyshevExpansion, cc_points, cheb_interp_coeffs
 from oscbessel.moments import (forward_moments, moment_table,
-                               recurrence_coefficients, recurrence_residual,
-                               starting_moments)
+                               recurrence_coefficients, recurrence_residual)
 from oscbessel.oracle import (OracleConfig, reference_integral,
                               reference_moments)
 from oscbessel.problem import ProblemSpec
@@ -127,7 +126,7 @@ def test_criterion_04_moment_grid_vs_oracle():
 
 def test_criterion_05_stability_witness():
     spec = ProblemSpec(0.2, 0.4, 0.0, 20.0)
-    fwd = forward_moments(spec, starting_moments(spec), 200)
+    fwd = forward_moments(spec, moment_table(spec, 5).values, 200)
     table = moment_table(spec, 200)
     oracle = reference_moments(spec, list(range(201)),
                                OracleConfig(rel_tol=1e-12))

@@ -1,3 +1,4 @@
+import math
 import pathlib
 import time
 
@@ -7,8 +8,9 @@ import pytest
 from scipy.special import jn_zeros
 
 from oscbessel.errors import DomainError
-from oscbessel.moments import moment_table, power_moment, starting_moments
-from oscbessel.oracle import (OracleConfig, _bessel_zeros, reference_integral,
+from oscbessel.moments import moment_table, power_moment
+from oscbessel.oracle import (_GK_NODES, _GK_WGAUSS, _GK_WK, OracleConfig,
+                              _bessel_zeros, reference_integral,
                               reference_moment, reference_moments)
 from oscbessel.problem import ProblemSpec
 
@@ -66,6 +68,21 @@ def test_bessel_zeros_match_scipy():
         assert np.abs(got - want).max() <= 0.8 / 2**12
 
 
+def tstar(k):
+    """T_k*(x) = cos(k arccos(2x - 1)), clamped so it is stable on [0, 1]."""
+    return lambda x: math.cos(
+        k * math.acos(min(1.0, max(-1.0, 2.0 * x - 1.0))))
+
+
+def test_gauss_kronrod_rules_integrate_monomials():
+    # K15 is exact through degree 22 and G7 through 13; with 15-digit
+    # constants the K15 weights summed to 2 - 6.0e-15.
+    for weights, degree in ((_GK_WK, 22), (_GK_WGAUSS, 13)):
+        for k in range(degree + 1):
+            got = math.fsum((weights * _GK_NODES ** k).tolist())
+            assert abs(got - (1 + (-1) ** k) / (k + 1)) <= 4e-16, (degree, k)
+
+
 class TestReferenceMoment:
     def test_k0_matches_integral(self):
         spec = ProblemSpec(0.2, 0.4, 0.0, 20.0)
@@ -74,10 +91,25 @@ class TestReferenceMoment:
         assert abs(m0 - i0) <= 1e-12 * abs(i0)
 
     def test_x_and_theta_paths_agree(self):
+        # The theta form against the x-domain integral of T_17*.
         spec = ProblemSpec(0.2, 0.4, 0.0, 20.0)
-        vx, _ = reference_moment(spec, 17, force="x")
-        vt, _ = reference_moment(spec, 17, force="theta")
+        vx, _ = reference_integral(spec, f=tstar(17))
+        vt, _ = reference_moment(spec, 17)
         assert abs(vx - vt) <= 1e-10 * abs(vx)
+
+    def test_single_is_the_batch_entry(self):
+        spec = ProblemSpec(0.2, 0.4, 0.0, 20.0)
+        cfg = OracleConfig(rel_tol=1e-13)
+        for k in (0, 3, 12, 180):
+            assert reference_moment(spec, k, cfg) == reference_moments(
+                spec, [k], cfg)[k], k
+
+    def test_index_validation(self):
+        spec = ProblemSpec(0.2, 0.4, 0.0, 20.0)
+        with pytest.raises(DomainError):
+            reference_moment(spec, -1)
+        with pytest.raises(DomainError):
+            reference_moments(spec, [])
 
     def test_decay_exponent(self):
         # Lemma-consistent decay -2 - 2 min(alpha, beta) at fixed omega.
@@ -107,16 +139,17 @@ class TestReferenceMoment:
             assert abs(table.values[k] - ref) <= 1e-8 * abs(ref) + err, k
 
     def test_x_path_end_panel_that_cancels(self):
-        # An end panel of k = 11 nearly cancels; stopping relative to its
-        # own total ran every tanh-sinh level (0.36 s against 4-6 ms for
-        # k = 10 and 12), stopping relative to its mass does not.
+        # In the x-domain integral of T_11*, an end panel nearly cancels;
+        # stopping relative to its own total ran every tanh-sinh level
+        # (0.36 s against 4-6 ms for k = 10 and 12), stopping relative to
+        # its mass does not.
         spec = ProblemSpec(0.2, 0.4, 0.0, 20.0)
         cfg = OracleConfig(rel_tol=1e-13)
-        reference_moment(spec, 10, cfg, force="x")     # warm the node caches
+        reference_integral(spec, cfg, f=tstar(10))     # warm the node caches
         t0 = time.perf_counter()
-        vx, ex = reference_moment(spec, 11, cfg, force="x")
+        vx, ex = reference_integral(spec, cfg, f=tstar(11))
         elapsed = time.perf_counter() - t0
-        vt, et = reference_moment(spec, 11, cfg, force="theta")
+        vt, et = reference_moment(spec, 11, cfg)
         assert elapsed < 0.05
         assert abs(vx - vt) <= ex + et
 
@@ -124,7 +157,7 @@ class TestReferenceMoment:
     @pytest.mark.parametrize("kernel", [(0.2, 0.4, 0.0), (-0.8, -0.9, 2.5)])
     def test_large_omega_against_closed_form(self, kernel, omega):
         spec = ProblemSpec(*kernel, omega)
-        want = starting_moments(spec)
+        want = moment_table(spec, 5).values
         got = reference_moments(spec, range(6), OracleConfig(rel_tol=1e-13))
         for k in range(6):
             ref, err = got[k]

@@ -6,7 +6,7 @@ import pytest
 from mpmath.libmp import NoConvergence
 
 from oscbessel.errors import ConvergenceError, DomainError, PoleError
-from oscbessel.specfun import (_bessel_j_ladder, bessel_j, bessel_j_jet,
+from oscbessel.specfun import (_bessel_j_ladder, bessel_j_jet,
                                gamma, hyp2f3, jet_compose, jet_mul, jet_pow,
                                shifted_cheb_power_coeffs)
 
@@ -28,44 +28,17 @@ class TestGamma:
                 gamma(x)
 
 
-class TestBesselJ:
-    def test_known_values(self):
-        assert bessel_j(0.0, 0.0) == 1.0
-        # J_{1/2}(x) = sqrt(2/(pi x)) sin x vanishes at x = pi.
-        assert abs(bessel_j(0.5, math.pi)) < 1e-13
-
-    def test_series_oracle_at_one(self):
-        # 60-term ascending series summed at extended precision.
-        with mp.workprec(128):
-            acc = mp.mpf(0)
-            for m in range(60):
-                acc += mp.mpf((-1) ** m) / (
-                    float(mp.factorial(m)) ** 2 * 4.0 ** m)
-        assert abs(bessel_j(0.0, 1.0) - float(acc)) < 1e-14
-
-    def test_grid_against_mpmath(self):
-        rng = np.random.default_rng(7)
-        for nu in (0.0, 0.5, 1.0, 2.5, 7.0, 20.0):
-            for x in np.concatenate([rng.uniform(0.0, 30.0, 8),
-                                     rng.uniform(30.0, 2000.0, 8)]):
-                want = float(mp.besselj(nu, float(x)))
-                scale = max(abs(want), 1e-280)
-                assert abs(bessel_j(nu, float(x)) - want) <= 1e-13 * max(
-                    scale, 1e-3), (nu, x)
-
-    def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            bessel_j(-0.5, 1.0)
-        with pytest.raises(DomainError):
-            bessel_j(1.0, -1.0)
+def besselj(nu, x):
+    """mpmath's J_nu(x) rounded to double: the reference for the jets."""
+    return float(mp.besselj(nu, x))
 
 
 class TestBesselJet:
     def test_order_zero_and_first_derivative(self):
         jet0 = bessel_j_jet(1.7, 3.0, 0)
-        assert jet0[0] == pytest.approx(bessel_j(1.7, 3.0))
+        assert jet0[0] == pytest.approx(besselj(1.7, 3.0))
         jet1 = bessel_j_jet(0.0, 1.0, 1)
-        assert jet1[1] == pytest.approx(-bessel_j(1.0, 1.0),
+        assert jet1[1] == pytest.approx(-besselj(1.0, 1.0),
                                      abs=1e-14)
 
     def test_against_finite_differences(self):
@@ -73,12 +46,12 @@ class TestBesselJet:
         # Two step sizes: the third difference wants a small h (its error
         # is truncation-bound), the fourth a larger one (roundoff-bound).
         h = 2e-3
-        f = np.array([bessel_j(0.0, 2.0 + h * i) for i in range(-2, 3)])
+        f = np.array([besselj(0.0, 2.0 + h * i) for i in range(-2, 3)])
         d1 = (-f[4] + 8 * f[3] - 8 * f[1] + f[0]) / (12 * h)
         d2 = (-f[4] + 16 * f[3] - 30 * f[2] + 16 * f[1] - f[0]) / (12 * h**2)
         d3 = (f[4] - 2 * f[3] + 2 * f[1] - f[0]) / (2 * h ** 3)
         h4 = 5e-3
-        g = np.array([bessel_j(0.0, 2.0 + h4 * i) for i in range(-2, 3)])
+        g = np.array([besselj(0.0, 2.0 + h4 * i) for i in range(-2, 3)])
         d4 = (g[4] - 4 * g[3] + 6 * g[2] - 4 * g[1] + g[0]) / h4 ** 4
         for n, want in ((1, d1), (2, d2), (3, d3), (4, d4)):
             got = jet[n]
@@ -107,6 +80,14 @@ class TestBesselJet:
                 j2 = 2.0 * jet[2]
                 resid = x * x * j2 + x * j1 + (x * x - nu * nu) * j0
                 assert abs(resid) <= 1e-9 * max(1.0, abs(x * x * j0))
+
+    def test_domain_errors(self):
+        with pytest.raises(DomainError):
+            bessel_j_jet(-0.5, 1.0, 2)
+        with pytest.raises(DomainError):
+            bessel_j_jet(1.0, -1.0, 2)
+        with pytest.raises(DomainError):
+            bessel_j_jet(1.0, 1.0, 13)
 
 
 class TestJetArithmetic:
@@ -149,7 +130,7 @@ class TestHyp2f3:
     def test_bessel_series_identity(self):
         # J_0(3) = 0F1(; 1; -9/4) through the shared Pochhammer kernel.
         got = float(hyp2f3(1.0, 2.0, 1.0, 2.0, 1.0, -2.25))
-        assert abs(got - bessel_j(0.0, 3.0)) <= 1e-13
+        assert abs(got - besselj(0.0, 3.0)) <= 1e-13
 
     def test_cancellation_prone_argument(self):
         # Moment-shaped parameters at z = -(200/2)^2: heavy cancellation.
