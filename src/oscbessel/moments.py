@@ -3,7 +3,9 @@
 Computes M(k) = int_0^1 x^a (1-x)^b T_k*(x) J_nu(w x) dx for k = 0..N by a
 hybrid strategy: starting values M(0)..M(5), forward recursion while
 k <= w/2, Oliver's boundary-value reformulation beyond that, and an
-endpoint asymptotic expansion for the two trailing boundary moments.  The
+endpoint asymptotic expansion for the two trailing boundary moments,
+summed end by end; an end where the kernel is even and analytic
+(superalgebraic) contributes 0 within a Cauchy bound on a strip.  The
 nine-term recurrence ties M(k-4)..M(k+4) with the offsets +-3 absent; the
 symmetry M(-j) = M(j) resolves every negative index.  M(0)..M(3) come
 from four closed forms (Gamma and a 256-bit 2F3) and M(4), M(5) from the
@@ -14,7 +16,7 @@ recurrences form one float64 banded LU system, refined with double-double
 
 from __future__ import annotations
 
-import cmath
+import logging
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -58,6 +60,8 @@ _OFFSETS = (-4, -2, -1, 0, 1, 2, 4)
 #: boundary-value solve amplifies the rounding of its seeds, so they enter
 #: it as double-double splits of these values, not as doubles.
 _PIPE_PREC = 192
+
+_log = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------------
@@ -244,9 +248,10 @@ def _starting_mpf(spec: ProblemSpec, count: int):
 # Endpoint asymptotics for large-index moments
 # ---------------------------------------------------------------------------
 
-#: Terms and relative stopping tolerance of the endpoint expansions.
+#: Jet order and relative stopping tolerance of each endpoint expansion.
 _END_TERMS = 12
-_END_REL_TOL = 1e-12
+_END_REL_TOL = 1e-13
+_EPS = float(np.finfo(float).eps)      # rounding unit of one term's factors
 
 #: Taylor coefficients of sin and cos about 0, through order _END_TERMS + 1;
 #: sin(u)/u is the sin series shifted down by one.
@@ -256,20 +261,20 @@ _COS = np.array([(1, 0, -1, 0)[n % 4] / math.factorial(n)
                  for n in range(_END_TERMS + 2)])
 
 
-def _shift_jet(jet: np.ndarray, p: int, sign: float) -> np.ndarray:
-    """Multiply a jet by (sign * u)^p where u is the deviation variable."""
-    return sign ** p * np.concatenate([np.zeros(p), jet])[: len(jet)]
+def _superalgebraic(exponent: float) -> bool:
+    """Whether an endpoint exponent (lam or mu) is an odd integer.  W is
+    then even and analytic about that end, which contributes 0 to every
+    order of the expansion."""
+    return exponent % 2.0 == 1.0
 
 
-def _left_smooth_jet(spec: ProblemSpec, p_a: int, order: int) -> np.ndarray:
-    """Jet at theta = 0 of the smooth companion of the theta^(lam'-1) factor.
+def _left_smooth_jet(spec: ProblemSpec, order: int) -> np.ndarray:
+    """Jet at theta = 0 of W(theta) / theta^(lam-1).
 
-    The kernel sin^(2a+1) cos^(2b+1) J_nu(w sin^2) contributes
-    theta^(2a+2nu+1) at the origin; after extracting theta^(lam'-1) the
-    remainder is theta^p_a times a smooth, nonvanishing product.  The
-    Bessel factor enters through its entire part g(s) = sum_p (-s/4)^p /
-    (p! Gamma(nu+p+1)) evaluated at s = w^2 sin^4 theta, so no
-    cancellation occurs at the endpoint.
+    The kernel sin^(2a+1) cos^(2b+1) J_nu(w sin^2) is theta^(2a+2nu+1)
+    times sinc^(2a+2nu+1) cos^(2b+1) times the entire part of the Bessel
+    factor, g(s) = sum_p (-s/4)^p / (p! Gamma(nu+p+1)) evaluated at
+    s = w^2 sin^4 theta, so no cancellation occurs at the endpoint.
     """
     a, b, nu, w = spec.alpha, spec.beta, spec.nu, spec.omega
     sj = _SIN[: order + 1]
@@ -278,84 +283,149 @@ def _left_smooth_jet(spec: ProblemSpec, p_a: int, order: int) -> np.ndarray:
     s = jet_mul(jet_mul(jet_mul(sj, sj), sj), sj) * (w * w)
     outer = np.array([(-0.25) ** p / (math.factorial(p) * gamma(nu + p + 1.0))
                       for p in range(order + 1)])
-    phi = jet_mul(base, jet_compose(s, outer)) * (w / 2.0) ** nu
-    return _shift_jet(phi, p_a, 1.0)
+    return jet_mul(base, jet_compose(s, outer)) * (w / 2.0) ** nu
 
 
-def _right_smooth_jet(spec: ProblemSpec, p_b: int, order: int) -> np.ndarray:
-    """Jet at theta = pi/2, in u = theta - pi/2, of the right companion.
+def _right_smooth_jet(spec: ProblemSpec, order: int) -> np.ndarray:
+    """Jet at theta = pi/2, in u = theta - pi/2, of W / (-u)^(mu-1).
 
-    sin theta = cos u and cos theta = -sin u there, so the kernel becomes
-    cos^(2a+1) u * sinc^(2b+1) u * (-u)^p_b * J_nu(w cos^2 u); the Bessel
-    jet is taken about w > 0 and composed with -w sin^2 u.
+    sin theta = cos u and cos theta = -sin u there, so the quotient is
+    cos^(2a+1) u * sinc^(2b+1) u * J_nu(w cos^2 u); the Bessel jet is
+    taken about w > 0 and composed with -w sin^2 u.
     """
     a, b, nu, w = spec.alpha, spec.beta, spec.nu, spec.omega
     sj = _SIN[: order + 1]
     base = jet_mul(jet_pow(_COS[: order + 1], 2.0 * a + 1.0),
                    jet_pow(_SIN[1: order + 2], 2.0 * b + 1.0))
     jv = jet_compose(jet_mul(sj, sj) * -w, bessel_j_jet(nu, w, order))
-    return _shift_jet(jet_mul(base, jv), p_b, -1.0)
+    return jet_mul(base, jv)
 
 
 def _endpoint_jets(spec: ProblemSpec, order: int):
-    """(lam', left jet, mu', right jet) of the endpoint expansions, which do
-    not depend on the moment index j.  The integer parts p_a, p_b of
-    lam = 2 alpha + 2 nu + 2 and mu = 2 beta + 2 are peeled into the jets,
-    leaving lam' = lam - p_a and mu' = mu - p_b in (0, 1]."""
+    """((lam, left jet), (mu, right jet)) with lam = 2 alpha + 2 nu + 2 and
+    mu = 2 beta + 2: each end's exponent and the jet of W over its
+    envelope, which do not depend on the moment index j.  The jet of a
+    superalgebraic end is None and is not built."""
     lam = 2.0 * spec.alpha + 2.0 * spec.nu + 2.0
     mu = 2.0 * spec.beta + 2.0
-    p_a = math.ceil(lam) - 1
-    p_b = math.ceil(mu) - 1
-    return (lam - p_a, _left_smooth_jet(spec, p_a, order),
-            mu - p_b, _right_smooth_jet(spec, p_b, order))
+    return ((lam, None if _superalgebraic(lam)
+             else _left_smooth_jet(spec, order)),
+            (mu, None if _superalgebraic(mu)
+             else _right_smooth_jet(spec, order)))
 
 
-def end_moment_asymptotic(spec: ProblemSpec, j: int, jets=None):
+def _end_series(exponent: float, jet, r: float):
+    """(sum, first omitted |term| plus rounding) of one end's series.
+
+    Near the end W = d^(e-1) sum_n g_n d^n in the distance d to it, and
+    the end contributes 2 sum_n g_n Gamma(n+e) cos(pi (n+e)/2) r^-(n+e)
+    to M(j), times (-1)^j at theta = 0; the sum returned is without the
+    factor 2 and the sign.  The jet is even, so its odd orders vanish
+    exactly and are skipped.  Terms are added until one falls under _END_REL_TOL
+    of the partial sum, is no smaller than the previous term, or is the
+    last nonzero one; that term is not added.  Gamma(x) r^-x is the
+    running product of (x'+i)/r from x' = e - p in (0, 1], which neither
+    overflows nor loses accuracy for large e, so a term is a product of
+    about x + 8 correctly rounded factors; that many eps of each added
+    term are charged as its rounding.
+    """
+    if jet is None:
+        return 0.0, 0.0
+    p = math.ceil(exponent) - 1
+    e = exponent - p
+    steps = (e + np.arange(p + len(jet) - 1)) / r
+    x = exponent + np.arange(len(jet))
+    terms = (np.cumprod(np.concatenate([[gamma(e) * r ** -e], steps]))[p:]
+             * np.cos(np.pi * (x % 4.0) / 2.0) * jet)
+    nonzero = [(t, xn) for t, xn in zip(terms.tolist(), x.tolist()) if t]
+    total, prev, rounding = 0.0, math.inf, 0.0
+    for i, (t, xn) in enumerate(nonzero):
+        if (i == len(nonzero) - 1 or abs(t) < _END_REL_TOL * abs(total)
+                or abs(t) >= prev):
+            return total, abs(t) + rounding
+        total += t
+        prev = abs(t)
+        rounding += (xn + 8.0) * _EPS * abs(t)
+    return total, rounding
+
+
+def _strip_bound(spec: ProblemSpec, j: int) -> float:
+    """pi (w/2)^nu |sin|^(2a+2nu+1) |cos|^(2b+1) exp(w cosh^2 t - 2 j t) /
+    Gamma(nu+1) on the line Im theta = t, each power bounded by cosh^p t
+    (p >= 0) or sinh^p t (p < 0): the strip term of end_moment_asymptotic.
+
+    Any t > 0 gives a bound.  t starts at asinh(2j/w)/2, the minimiser of
+    the exponent, and takes Newton steps on the log of the bound, which is
+    convex in t.
+    """
+    a, b, nu, w = spec.alpha, spec.beta, spec.nu, spec.omega
+    powers = (2.0 * a + 2.0 * nu + 1.0, 2.0 * b + 1.0)
+    t = math.asinh(2.0 * j / w) / 2.0
+    for _ in range(4):
+        ch, sh = math.cosh(t), math.sinh(t)
+        slope = (sum(q * (sh / ch if q >= 0 else ch / sh) for q in powers)
+                 + w * math.sinh(2.0 * t) - 2.0 * j)
+        curvature = (sum(q / ch ** 2 if q >= 0 else -q / sh ** 2
+                         for q in powers) + 2.0 * w * math.cosh(2.0 * t))
+        t = max(t - slope / curvature, t / 2.0)
+    ch, sh = math.cosh(t), math.sinh(t)
+    log_b = (math.log(math.pi) + nu * math.log(w / 2.0)
+             - math.lgamma(nu + 1.0) + w * ch * ch - 2.0 * j * t
+             + sum(q * math.log(ch if q >= 0 else sh) for q in powers))
+    return math.exp(log_b) if log_b < 709.0 else math.inf
+
+
+def end_moment_asymptotic(spec: ProblemSpec, j: int, jets=None,
+                          abs_tol: float = 0.0):
     """(value, err_est) for M(j) at large j from endpoint expansions.
 
     Uses the theta form M(j) = 2 (-1)^j Re int_0^{pi/2} W(theta)
-    e^{2ij theta} d(theta): the integrand carries theta^(lam-1) and
-    (pi/2-theta)^(mu-1) envelopes with lam = 2 alpha + 2 nu + 2 and
-    mu = 2 beta + 2; integer parts of lam and mu are peeled into the
-    smooth factor, and each endpoint contributes a descending series in
-    r = 2j whose n-th term needs the n-th jet coefficient there.  Terms
-    are added until the next falls under _END_REL_TOL of the partial sum,
-    the series stops descending, or _END_TERMS terms are reached; err_est
-    is the first omitted term's magnitude.  ``jets`` may pass in
-    ``_endpoint_jets(spec, _END_TERMS)``, built once for several j; by
-    default they are built here.
+    e^{2ij theta} d(theta), W = sin^(2a+1) cos^(2b+1) J_nu(w sin^2).
+    W carries a theta^(lam-1) envelope at 0 and a (pi/2-theta)^(mu-1)
+    envelope at pi/2, lam = 2 alpha + 2 nu + 2 and mu = 2 beta + 2, and
+    each end contributes a descending series in r = 2j (Erdelyi) whose
+    n-th term needs the n-th jet coefficient there.  Each end is summed
+    and stopped on its own (see _end_series); err_est is the sum of the
+    two ends' first omitted terms and their rounding.
+
+    An end whose exponent is an odd integer is superalgebraic: W is even
+    and analytic across it, every term of its series is 0, and its jet is
+    not built.  What it contributes is bounded on a strip.  With both
+    ends superalgebraic, W is entire and pi-periodic, and
+    M(j) = (-1)^j int_{-pi/2}^{pi/2} W e^{2ij theta} d(theta).  Moving the
+    contour to Im theta = t > 0 (the vertical sides cancel by periodicity)
+    gives |M(j)| <= pi max|W(. + it)| e^{-2jt}.  On that line
+    |sin|, |cos| <= cosh t, and J_nu(z) = (z/2)^nu G(z) with
+    |G(z)| <= e^|z| / Gamma(nu+1), since (nu+1)_p >= p!; hence
+    |M(j)| <= pi (w/2)^nu cosh^(2a+2b+2nu+2)(t) exp(w cosh^2 t - 2jt)
+    / Gamma(nu+1), minimised over t.  The value is 0 and err_est is this
+    bound.  With one end superalgebraic, say at 0, W is even about 0 and
+    M(j) = (-1)^j int_{-pi/2}^{pi/2} W e^{2ij theta} d(theta) again, W
+    analytic above the real segment (Re cos > 0 there).  The contour
+    becomes the two vertical sides at +-pi/2, whose Watson expansions are
+    the other end's series, and the side at height t, bounded as above
+    but with |cos|^p <= sinh^p t where the other end's power p is
+    negative (|cos|, |sin| >= sinh t on that line).  err_est is the other
+    end's estimate plus that bound.
+
+    Raises AccuracyError when err_est exceeds both 1e-8 |value| and
+    ``abs_tol``; moment_table passes 1e-16 max|M(0..5)|, the residual
+    audit's floor.  ``jets`` may pass in ``_endpoint_jets(spec,
+    _END_TERMS)``, built once for several j; by default they are built
+    here.
     """
     if j < max(50.0, 2.0 * spec.omega):
         raise DomainError(
             f"asymptotic end moment needs j >= max(50, 2 omega), got {j}")
-    lam_p, ga, mu_p, gb = jets or _endpoint_jets(spec, _END_TERMS)
+    (lam, left), (mu, right) = jets or _endpoint_jets(spec, _END_TERMS)
     r = 2.0 * float(j)
-    sgn = -1.0 if j % 2 else 1.0
-    total = 0.0
-    prev_mag = math.inf
-    err = 0.0
-    for n in range(_END_TERMS + 1):
-        # ga[n] * n! and gb[n] * n! are the n-th derivatives at the ends.
-        fn = math.factorial(n)
-        an = (gamma(n + lam_p) / fn
-              * cmath.exp(1j * math.pi * (n + lam_p - 2.0) / 2.0)
-              * r ** (-n - lam_p) * (ga[n] * fn))
-        bn = (sgn * gamma(n + mu_p) / fn
-              * cmath.exp(1j * math.pi * (n - mu_p) / 2.0)
-              * r ** (-n - mu_p) * (gb[n] * fn))
-        mag = 2.0 * (abs(an) + abs(bn))
-        # The peeled integer powers make the first few terms exactly zero;
-        # those say nothing about convergence and are skipped.
-        if n == _END_TERMS or (mag > 0.0
-                               and (mag < _END_REL_TOL * abs(total)
-                                    or mag >= prev_mag)):
-            err = mag
-            break
-        total += 2.0 * sgn * (bn - an).real
-        if mag > 0.0:
-            prev_mag = mag
-    err += 1e-16 * abs(total)
-    if err > 1e-8 * abs(total):
+    left_sum, left_err = _end_series(lam, left, r)
+    right_sum, right_err = _end_series(mu, right, r)
+    total = 2.0 * ((-left_sum if j % 2 else left_sum) + right_sum)
+    err = 2.0 * (left_err + right_err)
+    if left is None or right is None:
+        err += _strip_bound(spec, j)
+    if not err <= max(1e-8 * abs(total), abs_tol):
         raise AccuracyError(
             f"end-moment expansion stalled at err_est {err:.3e} for j={j}",
             err_est=err)
@@ -529,10 +599,13 @@ def moment_table(spec: ProblemSpec, N: int) -> MomentTable:
     Starting values for k <= 5 (tagged closed-form: four 2F3 closed forms
     and two solved recurrence rows, see _starting_mpf), forward recursion
     to k_switch = clamp of floor(omega/2) into [5, N], then Oliver's
-    algorithm up to N seeded by asymptotic end moments at N+1 and N+2
-    (oracle fallback when the expansion is out of range or too coarse),
-    whose endpoint jets are built once.  Both recurrences are solved
-    together as one banded system.
+    algorithm up to k_hi = max(N, 2 omega, 50), closed by the end moments
+    M(k_hi+1) and M(k_hi+2) from end_moment_asymptotic, whose endpoint jets
+    are built once.  An end moment is accepted within 1e-8 relative or
+    within 1e-16 max|M(0..5)| absolute, the residual audit's floor; only
+    if the expansion still raises AccuracyError is it taken from the
+    oracle's reference_moment, with a logged warning.  Both recurrences
+    are solved together as one banded system.
     """
     if N < 0:
         raise DomainError("N must be nonnegative")
@@ -556,10 +629,15 @@ def moment_table(spec: ProblemSpec, N: int) -> MomentTable:
         # the surplus entries are simply discarded.
         k_hi = max(N, int(math.ceil(max(50.0, 2.0 * spec.omega))))
         jets = _endpoint_jets(spec, _END_TERMS)
+        abs_tol = 1e-16 * np.abs(vals).max()
         for jj in (k_hi + 1, k_hi + 2):
             try:
-                v, e = end_moment_asymptotic(spec, jj, jets=jets)
-            except (DomainError, AccuracyError):
+                v, e = end_moment_asymptotic(spec, jj, jets=jets,
+                                             abs_tol=abs_tol)
+            except AccuracyError as exc:
+                _log.warning("end moment M(%d) of (alpha, beta, nu, omega) ="
+                             " %s from the oracle: expansion err_est %.3e",
+                             jj, spec.moment_key(), exc.err_est)
                 v, e = reference_moment(spec, jj)
             boundary[jj] = (v, 0.0)
             ends.append((v, e))

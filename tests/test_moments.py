@@ -1,3 +1,4 @@
+import logging
 import math
 import pathlib
 import time
@@ -5,11 +6,14 @@ import time
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oscbessel import moments
-from oscbessel.errors import DomainError
+from oscbessel.errors import AccuracyError, DomainError
 from oscbessel.moments import (_OFFSETS, MomentTable, _endpoint_jets,
                                _row_coefficients, _starting_mpf,
+                               _strip_bound,
                                end_moment_asymptotic,
                                forward_moments,
                                moment_table, oliver_moments, power_moment,
@@ -96,20 +100,24 @@ SERIES_STARTS = {
 #: pipeline that the float64 solve replaced (forward recursion and Oliver's
 #: banded elimination in mpf, end moments from the 12-term expansion), as
 #: 25-digit strings, on the cold-integral kernels and two warm ones.
+#: Entries marked refdata are the 40-digit theta-form values of
+#: ccfbench/refdata.json, which the pipeline's missed by 1.3e-16 and
+#: 2.1e-15; the one marked trapezoid is CHEBYSHEV_MOMENTS' rule at j = 256,
+#: where the pipeline's -1.9e-54 was noise.
 PINNED_192_BIT = {
     ((0.2, 0.4, 0.0, 20.0), 256): {
         6: "-1.712765701425274925415005e-2",
         10: "5.520343497835602519588058e-2",
         11: "-4.105607491966874167811945e-3",
         128: "-3.368968635831783805466866e-6",
-        256: "-6.368069201046179649214223e-7",
+        256: "-6.36806920104617881361268328447e-7",           # refdata
     },
     ((0.2, 0.4, 2.5, 200.0), 1024): {
         6: "4.595818056201563315774853e-4",
         100: "2.858119140070058882889856e-3",
         101: "-6.108160980441196027738643e-3",
         512: "-1.883485382168757801833754e-10",
-        1024: "-2.706869541603519550057835e-11",
+        1024: "-2.70686954160351374056017540613e-11",          # refdata
     },
     ((0.2, 0.4, 0.0, 200.0), 4096): {
         6: "1.393101359157788773378105e-3",
@@ -128,7 +136,7 @@ PINNED_192_BIT = {
         100: "-2.265683199281979146211165e-2",
         101: "7.184990479212746504505564e-3",
         128: "-8.374009428688539722491096e-9",
-        256: "-1.926709752834424528790605e-54",
+        256: "-5.1538919728872029528891995894612606e-78",      # trapezoid
     },
     ((-0.8, -0.9, 2.5, 200.0), 256): {
         6: "3.262082568767799492454682e-1",
@@ -151,6 +159,41 @@ PINNED_192_BIT = {
         2048: "-6.046675393267627153045209e-7",
         4096: "-2.632042568025363223337788e-7",
     },
+}
+
+
+#: M(j) from the theta form in mpmath, independent of the endpoint expansion
+#: and of the oracle: ccfbench/refdata.py's 40-digit quadrature, run as
+#:     import sys; sys.path.insert(0, "ccfbench")
+#:     from refdata import theta_moments
+#:     print(theta_moments(0.2, 0.4, 2.5, 200.0, [401]))
+#: and likewise for the others; its error estimates are below 1e-30.
+THETA_FORM_END_MOMENTS = {
+    ((0.2, 0.4, 0.5, 1e3), 2001):
+        "-5.1757551523309214631523268292187895e-11",
+    ((0.2, 0.4, 2.5, 200.0), 401):
+        "-3.7309307349021862010885408201225435e-10",
+    ((-0.5, 0.4, 0.0, 200.0), 401):
+        "1.1673807758608267529062601587606886e-10",
+    # at 50 digits: the oracle's double quadrature reads 6.4e-19 +- 3.3e-15
+    ((3.2, 1.5, 0.0, 200.0), 513):
+        "-9.3874478609814884067108063277686133e-22",
+}
+
+#: M(j) of (-0.5, -0.5, 1, 200), whose W = J_1(200 sin^2 theta) is entire
+#: and pi-periodic: the trapezoid rule on P = 4096 points of the period,
+#: at 220 digits, which agrees with P = 2048 to 1e-221,
+#:     F = [mp.besselj(1, 100 * (1 - mp.cos(2 * mp.pi * m / P)))
+#:          for m in range(P // 2 + 1)]
+#:     M(j) = (-1)^j pi / P * (F[0] + (-1)^j F[P/2]
+#:            + 2 sum_{m=1}^{P/2-1} F[m] cos(2 pi j m / P))
+CHEBYSHEV_MOMENTS = {
+    150: "4.3163318690804758484287991709910363e-17",
+    200: "-2.5844279118423632411909247537955972e-42",
+    250: "6.9549000779001357135648274435370851e-74",
+    300: "-3.2729964462142631873985952119556649e-110",
+    350: "2.2081528437138805045607383601515084e-150",
+    401: "1.4155034057645544912083989805423348e-194",
 }
 
 
@@ -344,19 +387,52 @@ class TestEndMomentAsymptotic:
         with pytest.raises(DomainError):
             end_moment_asymptotic(spec, 300)  # below 2*omega
 
+    @pytest.mark.parametrize("kernel, j", list(THETA_FORM_END_MOMENTS))
+    def test_against_theta_form_in_mpmath(self, kernel, j):
+        # (0.2, 0.4, 2.5, 200) and (0.2, 0.4, 0.5, 1e3) stalled while both
+        # ends shared one stopping rule; (-0.5, 0.4, 0, 200) and
+        # (3.2, 1.5, 0, 200) have one superalgebraic end, which adds the
+        # strip bound.
+        value, err_est = end_moment_asymptotic(ProblemSpec(*kernel), j)
+        with mp.workdps(40):
+            want = mp.mpf(THETA_FORM_END_MOMENTS[kernel, j])
+            assert abs(value - want) <= err_est
+        assert err_est <= 1e-12 * abs(want)
+
+    def test_strip_bound_covers_superalgebraic_moments(self):
+        spec = ProblemSpec(-0.5, -0.5, 1.0, 200.0)
+        for j, want in CHEBYSHEV_MOMENTS.items():
+            assert abs(mp.mpf(want)) <= _strip_bound(spec, j), j
+        # Both ends are superalgebraic: the value is 0 and err_est the
+        # bound, which only an absolute floor can accept.
+        value, err_est = end_moment_asymptotic(spec, 401, abs_tol=1e-100)
+        assert value == 0.0
+        assert abs(mp.mpf(CHEBYSHEV_MOMENTS[401])) <= err_est <= 1e-130
+        with pytest.raises(AccuracyError):
+            end_moment_asymptotic(spec, 401)
+
+    def test_stall_raises(self):
+        # At j ~ 2 omega the left series (lam = 2) grows from its second
+        # term to its third before it descends, and the stop rule takes
+        # that for divergence: err_est 1.4e-10 on a value of 1.2e-5.
+        with pytest.raises(AccuracyError) as info:
+            end_moment_asymptotic(ProblemSpec(0.0, -0.5, 0.0, 100.0), 201)
+        assert info.value.err_est > 1e-8 * 1.2e-5
+
     @pytest.mark.parametrize("kernel", [
         (0.2, 0.4, 0.0, 20.0), (0.2, 0.4, 2.5, 200.0),
+        # lam = 3: the left end is superalgebraic, its jet is not built.
         (-0.5, 0.3, 1.0, 100.0), (0.6, -0.4, 2.5, 1e4),
-        # p_a = 14 exceeds the order: the left jet is all zero.
+        # lam = 14.4: the envelope's integer part stays out of the jet.
         (-0.8, -0.9, 7.0, 1e5)])
     def test_endpoint_jets_against_mpmath_taylor(self, kernel):
-        # The smooth companions at theta = 0 and at u = theta - pi/2 = 0,
-        # differentiated by mpmath at 60 digits, times u^p_a and (-u)^p_b
-        # for the peeled integer powers.
+        # The smooth companions W / theta^(lam-1) at theta = 0 and
+        # W / (-u)^(mu-1) at u = theta - pi/2 = 0, differentiated by mpmath
+        # at 60 digits.
         spec = ProblemSpec(*kernel)
-        lam_p, left, mu_p, right = _endpoint_jets(spec, 12)
-        p_a = round(2 * spec.alpha + 2 * spec.nu + 2 - lam_p)
-        p_b = round(2 * spec.beta + 2 - mu_p)
+        (lam, left), (mu, right) = _endpoint_jets(spec, 12)
+        assert lam == 2 * spec.alpha + 2 * spec.nu + 2
+        assert mu == 2 * spec.beta + 2
         a, b, nu, w = map(mp.mpf, kernel)
 
         def left_companion(t):
@@ -369,17 +445,54 @@ class TestEndMomentAsymptotic:
             return (mp.cos(u) ** (2 * a + 1) * mp.sinc(u) ** (2 * b + 1)
                     * mp.besselj(nu, w * mp.cos(u) ** 2))
 
-        for got, companion, p, sign in ((left, left_companion, p_a, 1.0),
-                                        (right, right_companion, p_b, -1.0)):
-            want = np.zeros(13)
-            if p <= 12:
-                with mp.workdps(60):
-                    want[p:] = [sign ** p * float(c)
-                                for c in mp.taylor(companion, 0, 12 - p)]
+        for got, companion, exponent in ((left, left_companion, lam),
+                                         (right, right_companion, mu)):
+            if exponent % 2 == 1:
+                assert got is None
+                continue
+            with mp.workdps(60):
+                want = np.array([float(c)
+                                 for c in mp.taylor(companion, 0, 12)])
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(
-                np.abs(want)), (kernel, sign)
-        if p_a > 12:
-            assert not left.any()
+                np.abs(want)), (kernel, exponent)
+
+
+@st.composite
+def end_moment_cases(draw):
+    """(spec, j) with j in [m, 4m], m = max(50, 2 omega); some draws snap
+    alpha + nu + 1/2 or beta + 1/2 to an integer (a superalgebraic end),
+    on a dyadic nu so that the sums stay exact."""
+    a = draw(st.floats(-0.95, 3.5, exclude_min=True, exclude_max=True))
+    b = draw(st.floats(-0.95, 3.5, exclude_min=True, exclude_max=True))
+    nu = draw(st.floats(0.0, 20.0))
+    w = 10.0 ** draw(st.floats(-2.0, 3.0))
+    snap = draw(st.sampled_from(("none", "left", "right", "both")))
+    if snap in ("left", "both"):
+        nu = round(nu * 64.0) / 64.0
+        k = round(a + nu + 0.5)
+        k += (k - nu - 0.5 <= -0.95) - (k - nu - 0.5 >= 3.5)
+        a = k - nu - 0.5
+    if snap in ("right", "both"):
+        b = min(round(b + 0.5), 3) - 0.5
+    low = max(50.0, 2.0 * w)
+    j = draw(st.integers(math.ceil(low), math.floor(4.0 * low)))
+    return ProblemSpec(a, b, nu, w), j
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(end_moment_cases())
+def test_end_moment_err_est_against_oracle(case):
+    # A returned value is within the two error estimates of the oracle; a
+    # stall raises AccuracyError, under moment_table's floor of 1e-16 of
+    # the moments' scale (|M(0)| <= max|M(0..5)| stands in for it).
+    spec, j = case
+    scale = abs(reference_moment(spec, 0, CFG)[0])
+    try:
+        value, err_est = end_moment_asymptotic(spec, j, abs_tol=1e-16 * scale)
+    except AccuracyError:
+        return
+    ref, ref_err = reference_moment(spec, j, CFG)
+    assert abs(value - ref) <= err_est + ref_err
 
 
 class TestOliverMoments:
@@ -482,9 +595,15 @@ class TestMomentTable:
 
     @pytest.mark.parametrize("kernel", [(0.2, 0.4, 1.0, 20.0),
                                         (0.2, 0.4, 1.0, 200.0),
-                                        (-0.5, -0.5, 2.5, 20.0)])
+                                        (-0.5, -0.5, 2.5, 20.0),
+                                        (-0.5, -0.5, 1.0, 200.0),
+                                        (0.2, 1.5, 2.5, 200.0)])
     def test_end_moments_without_oracle(self, kernel, monkeypatch):
-        # The 12-term endpoint expansion converges here; 8 terms did not.
+        # The 12-term endpoint expansion converges on the first three; 8
+        # terms did not.  Both ends of (-0.5, -0.5, 1, 200) and the right
+        # end of (0.2, 1.5, 2.5, 200) are superalgebraic, and both kernels
+        # took their end moments from the oracle before such an end was
+        # set to 0 with a strip bound.
         def refuse(*args, **kwargs):
             raise AssertionError("end moment fell back to the oracle")
 
@@ -559,6 +678,22 @@ class TestMomentTable:
             assert diff <= 1e-8 * abs(refs[k]) + errs[k], k   # criterion-04
             if errs[k] < 1e-9 * abs(refs[k]):
                 assert diff <= 1e-8 * abs(refs[k]), k
+
+    def test_oracle_fallback_is_logged(self, monkeypatch, caplog):
+        def stall(spec, j, **kwargs):
+            raise AccuracyError("stalled", err_est=1.5e-3)
+
+        monkeypatch.setattr(moments, "end_moment_asymptotic", stall)
+        with caplog.at_level(logging.WARNING, logger="oscbessel.moments"):
+            moment_table(ProblemSpec(0.2, 0.4, 0.0, 20.0), 64)
+        messages = [r.getMessage() for r in caplog.records
+                    if r.name == "oscbessel.moments"
+                    and r.levelno == logging.WARNING]
+        assert len(messages) == 2
+        for j, message in zip((65, 66), messages):
+            assert f"M({j})" in message
+            assert "(0.2, 0.4, 0.0, 20.0)" in message
+            assert "1.500e-03" in message
 
     def test_call_structure(self, monkeypatch):
         # Four 2F3 closed forms seed the table, and the endpoint jets are
