@@ -9,8 +9,8 @@ from .chebfit import (ChebyshevExpansion, cc_points, cheb_eval,
 from .errors import (AccuracyError, ConvergenceError, DomainError,
                      OscBesselError, PoleError, SingularSystemError)
 from .moments import (MomentTable, end_moment_asymptotic, forward_moments,
-                      moment_table, oliver_moments, power_moment,
-                      recurrence_coefficients, recurrence_residual)
+                      moment_table, power_moment, recurrence_coefficients,
+                      recurrence_residual)
 from .oracle import (OracleConfig, reference_integral, reference_moment,
                      reference_moments)
 from .problem import ProblemSpec
@@ -24,7 +24,7 @@ __all__ = [
     "convergence_study", "fit_rate", "clear_moment_cache",
     "ChebyshevExpansion", "cc_points", "cheb_interp_coeffs", "cheb_eval",
     "MomentTable", "moment_table", "power_moment",
-    "forward_moments", "oliver_moments", "end_moment_asymptotic",
+    "forward_moments", "end_moment_asymptotic",
     "recurrence_coefficients", "recurrence_residual",
     "OracleConfig", "reference_integral", "reference_moment",
     "reference_moments",
