@@ -14,7 +14,7 @@ from .moments import (MomentTable, end_moment_asymptotic, forward_moments,
 from .oracle import (OracleConfig, reference_integral, reference_moment,
                      reference_moments)
 from .problem import ProblemSpec
-from .specfun import gamma, hyp2f3, shifted_cheb_power_coeffs
+from .specfun import hyp2f3, shifted_cheb_power_coeffs
 
 __version__ = "0.1.0"
 
@@ -28,7 +28,7 @@ __all__ = [
     "recurrence_coefficients", "recurrence_residual",
     "OracleConfig", "reference_integral", "reference_moment",
     "reference_moments",
-    "gamma", "hyp2f3", "shifted_cheb_power_coeffs",
+    "hyp2f3", "shifted_cheb_power_coeffs",
     "OscBesselError", "DomainError", "PoleError", "ConvergenceError",
     "AccuracyError", "SingularSystemError",
 ]

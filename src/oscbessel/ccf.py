@@ -18,7 +18,7 @@ import numpy as np
 from .chebfit import cc_points, cheb_interp_coeffs
 from .errors import DomainError
 from .moments import MomentTable, moment_table
-from .problem import ProblemSpec
+from .problem import ProblemSpec, as_size
 
 __all__ = [
     "QuadratureResult",
@@ -87,8 +87,7 @@ def clear_moment_cache() -> None:
 
 def ccf_integrate(spec: ProblemSpec, N: int) -> QuadratureResult:
     """Apply the N+1-point CCF rule to the problem's integrand."""
-    if N < 1:
-        raise DomainError("N must be >= 1")
+    N = as_size(N, 1)
     if spec.integrand is None:
         raise DomainError("problem carries no integrand")
     samples = np.array([float(spec.integrand(float(x)))
@@ -109,7 +108,7 @@ def ccf_integrate(spec: ProblemSpec, N: int) -> QuadratureResult:
 
 def convergence_study(spec: ProblemSpec, N_list, reference: float):
     """One ConvergenceRecord per N against a fixed reference value."""
-    N_list = [int(n) for n in N_list]
+    N_list = [as_size(n, 1) for n in N_list]
     if any(b <= a for a, b in zip(N_list, N_list[1:])) or not N_list:
         raise DomainError("N_list must be nonempty and strictly increasing")
     if not math.isfinite(reference):

@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.fft
+from numpy.polynomial.chebyshev import chebval
 
 from .errors import DomainError
 
@@ -59,13 +60,8 @@ def cheb_interp_coeffs(samples) -> ChebyshevExpansion:
 
 
 def cheb_eval(expansion: ChebyshevExpansion, x: float) -> float:
-    """Clenshaw backward recurrence for sum b_i T_i*(x), 0 <= x <= 1."""
+    """sum b_i T_i*(x) = sum b_i T_i(2x - 1), 0 <= x <= 1, by numpy's
+    Clenshaw recurrence."""
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"x={x} outside [0, 1]")
-    b = expansion.coefficients
-    t = 2.0 * x - 1.0
-    y1 = 0.0
-    y2 = 0.0
-    for k in range(len(b) - 1, 0, -1):
-        y1, y2 = b[k] + 2.0 * t * y1 - y2, y1
-    return b[0] + t * y1 - y2
+    return float(chebval(2.0 * x - 1.0, expansion.coefficients))

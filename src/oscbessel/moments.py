@@ -13,7 +13,9 @@ symmetry M(-j) = M(j) resolves every negative index.  M(0)..M(3) come
 from four closed forms (Gamma and a 256-bit 2F3) and M(4), M(5) from the
 recurrence rows m = 0, 1 folded by that symmetry, in 192-bit mpmath; both
 recurrences form one float64 banded LU system, refined with double-double
-(hi + lo) residuals.  The endpoint jets are built once per table.
+(hi + lo) residuals.  Both endpoint jets expand the Bessel factor through
+its entire part g(s), s = w^2 sin^4 theta, about s = 0 at theta = 0 and
+about s = w^2 at theta = pi/2; they are built once per table.
 """
 
 from __future__ import annotations
@@ -30,11 +32,10 @@ from .errors import AccuracyError, DomainError, SingularSystemError
 # Not called here.  The benchmark's tracer wraps moments.reference_moment by
 # name, so the name stays until the tracer reads a diagnostics record.
 from .oracle import reference_moment
-from .problem import ProblemSpec
+from .problem import ProblemSpec, as_size
 from .specfun import (
     ExtendedReal,
-    bessel_j_jet,
-    gamma,
+    bessel_entire_jet,
     hyp2f3,
     jet_compose,
     jet_mul,
@@ -268,37 +269,29 @@ def _superalgebraic(exponent: float) -> bool:
     return exponent % 2.0 == 1.0
 
 
-def _left_smooth_jet(spec: ProblemSpec, order: int) -> np.ndarray:
-    """Jet at theta = 0 of W(theta) / theta^(lam-1).
+def _smooth_jet(spec: ProblemSpec, order: int, right: bool) -> np.ndarray:
+    """Jet of W over its envelope at one end: of W / theta^(lam-1) at
+    theta = 0, or at theta = pi/2 (``right``), in u = theta - pi/2, of
+    W / (-u)^(mu-1).
 
-    The kernel sin^(2a+1) cos^(2b+1) J_nu(w sin^2) is theta^(2a+2nu+1)
-    times sinc^(2a+2nu+1) cos^(2b+1) times the entire part of the Bessel
-    factor, g(s) = sum_p (-s/4)^p / (p! Gamma(nu+p+1)) evaluated at
-    s = w^2 sin^4 theta, so no cancellation occurs at the endpoint.
+    W = (w/2)^nu sin^(2a+2nu+1) cos^(2b+1) g(w^2 sin^4 theta), where
+    g(s) = sum_p (-s/4)^p / (p! Gamma(nu+p+1)) is the entire part of the
+    Bessel factor, so no cancellation occurs at either end.  At theta = 0
+    the quotient is sinc^(2a+2nu+1) cos^(2b+1) g(s), with g's jet about
+    s = 0.  At pi/2, sin theta = cos u and cos theta = -sin u: the sinc
+    and cos powers swap, and s = w^2 cos^4 u is taken about w^2.
     """
     a, b, nu, w = spec.alpha, spec.beta, spec.nu, spec.omega
-    sj = _SIN[: order + 1]
-    base = jet_mul(jet_pow(_SIN[1: order + 2], 2.0 * a + 2.0 * nu + 1.0),
-                   jet_pow(_COS[: order + 1], 2.0 * b + 1.0))
-    s = jet_mul(jet_mul(jet_mul(sj, sj), sj), sj) * (w * w)
-    outer = np.array([(-0.25) ** p / (math.factorial(p) * gamma(nu + p + 1.0))
-                      for p in range(order + 1)])
+    sinc, cos = _SIN[1: order + 2], _COS[: order + 1]
+    sinc_power, cos_power = 2.0 * a + 2.0 * nu + 1.0, 2.0 * b + 1.0
+    if right:
+        sinc_power, cos_power = cos_power, sinc_power
+    base = jet_mul(jet_pow(sinc, sinc_power), jet_pow(cos, cos_power))
+    sin = cos if right else _SIN[: order + 1]      # sin theta, locally
+    s = jet_mul(jet_mul(jet_mul(sin, sin), sin), sin) * (w * w)
+    s[0] = 0.0                      # the deviation from the center, 0 or w^2
+    outer = bessel_entire_jet(nu, w if right else 0.0, order)
     return jet_mul(base, jet_compose(s, outer)) * (w / 2.0) ** nu
-
-
-def _right_smooth_jet(spec: ProblemSpec, order: int) -> np.ndarray:
-    """Jet at theta = pi/2, in u = theta - pi/2, of W / (-u)^(mu-1).
-
-    sin theta = cos u and cos theta = -sin u there, so the quotient is
-    cos^(2a+1) u * sinc^(2b+1) u * J_nu(w cos^2 u); the Bessel jet is
-    taken about w > 0 and composed with -w sin^2 u.
-    """
-    a, b, nu, w = spec.alpha, spec.beta, spec.nu, spec.omega
-    sj = _SIN[: order + 1]
-    base = jet_mul(jet_pow(_COS[: order + 1], 2.0 * a + 1.0),
-                   jet_pow(_SIN[1: order + 2], 2.0 * b + 1.0))
-    jv = jet_compose(jet_mul(sj, sj) * -w, bessel_j_jet(nu, w, order))
-    return jet_mul(base, jv)
 
 
 def _endpoint_jets(spec: ProblemSpec, order: int):
@@ -309,9 +302,9 @@ def _endpoint_jets(spec: ProblemSpec, order: int):
     lam = 2.0 * spec.alpha + 2.0 * spec.nu + 2.0
     mu = 2.0 * spec.beta + 2.0
     return ((lam, None if _superalgebraic(lam)
-             else _left_smooth_jet(spec, order)),
+             else _smooth_jet(spec, order, right=False)),
             (mu, None if _superalgebraic(mu)
-             else _right_smooth_jet(spec, order)))
+             else _smooth_jet(spec, order, right=True)))
 
 
 def _end_series(exponent: float, jet, r: float):
@@ -335,7 +328,7 @@ def _end_series(exponent: float, jet, r: float):
     e = exponent - p
     steps = (e + np.arange(p + len(jet) - 1)) / r
     x = exponent + np.arange(len(jet))
-    terms = (np.cumprod(np.concatenate([[gamma(e) * r ** -e], steps]))[p:]
+    terms = (np.cumprod([math.gamma(e) * r ** -e, *steps])[p:]
              * np.cos(np.pi * (x % 4.0) / 2.0) * jet)
     nonzero = [(t, xn) for t, xn in zip(terms.tolist(), x.tolist()) if t]
     total, prev, rounding = 0.0, math.inf, 0.0
@@ -594,8 +587,7 @@ def moment_table(spec: ProblemSpec, N: int) -> MomentTable:
     doubled, at most _MAX_PUSH times; then the error propagates.  Both
     recurrences are solved together as one banded system.
     """
-    if N < 0:
-        raise DomainError("N must be nonnegative")
+    N = as_size(N, 0)
     count = min(N + 1, 6)
     pairs = _starting_mpf(spec, count)
     vals = np.array([float(v) for v, _ in pairs])

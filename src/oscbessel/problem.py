@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -47,3 +48,15 @@ class ProblemSpec:
     def moment_key(self):
         """Hashable identity of the f-independent part."""
         return (self.alpha, self.beta, self.nu, self.omega)
+
+
+def as_size(N, least: int) -> int:
+    """N as an int no smaller than ``least``; a float N, even 64.0, is a
+    DomainError."""
+    try:
+        N = operator.index(N)
+    except TypeError:
+        raise DomainError(f"N must be an integer, got {N!r}") from None
+    if N < least:
+        raise DomainError(f"N must be >= {least}, got {N}")
+    return N

@@ -1,13 +1,12 @@
 """Special functions and truncated Taylor series.
 
-Taylor jets of Bessel functions of the first kind with real order, the
-generalized hypergeometric series 2F3, the gamma function, and the exact
-power-basis coefficients of shifted Chebyshev polynomials.  Bessel J and
-2F3 come from mpmath at fixed working precisions; there is no
-hand-written series.  The jets' Bessel orders follow from two mpmath
-values by the downward three-term recurrence.  A jet is a plain numpy
-array of Taylor coefficients, with a truncated product, a real power and
-a composition.
+The Taylor jet of the entire part of Bessel J of real order, the
+generalized hypergeometric series 2F3, and the exact power-basis
+coefficients of shifted Chebyshev polynomials.  Bessel J and 2F3 come
+from mpmath at fixed working precisions; there is no hand-written series.
+The jet's Bessel orders nu..nu+order follow from two mpmath values by the
+downward three-term recurrence.  A jet is a plain numpy array of Taylor
+coefficients, with a truncated product, a real power and a composition.
 """
 
 from __future__ import annotations
@@ -23,8 +22,7 @@ from .errors import ConvergenceError, DomainError, PoleError
 
 __all__ = [
     "ExtendedReal",
-    "gamma",
-    "bessel_j_jet",
+    "bessel_entire_jet",
     "jet_mul",
     "jet_pow",
     "jet_compose",
@@ -48,42 +46,6 @@ class ExtendedReal:
 
     def __float__(self):
         return float(self.value)
-
-
-# ---------------------------------------------------------------------------
-# Gamma
-# ---------------------------------------------------------------------------
-
-def gamma(x: float) -> float:
-    """Gamma function for real x, excluding the poles at 0, -1, -2, ..."""
-    x = float(x)
-    if x <= 0.0 and x == math.floor(x):
-        raise PoleError(f"gamma pole at x={x}")
-    return math.gamma(x)
-
-
-# ---------------------------------------------------------------------------
-# Bessel J of real order: the ladder of orders behind the jets
-# ---------------------------------------------------------------------------
-
-#: Working precision (bits) of mpmath's Bessel J and of the downward ladder.
-_BESSEL_PREC = 96
-
-
-def _bessel_j_ladder(nu: float, x: float, order: int) -> list[float]:
-    """J_mu(x) for mu = nu-order .. nu+order, x > 0.
-
-    The top two orders come from mpmath.besselj; the rest follow from
-    J_{mu-1} = (2 mu / x) J_mu - J_{mu+1}, run downward, the direction in
-    which J is the minimal solution (Gautschi, SIAM Review 9, 1967).
-    """
-    with mp.workprec(_BESSEL_PREC):
-        xm = mp.mpf(x)
-        top = mp.mpf(nu) + order
-        ladder = [mp.besselj(top, xm), mp.besselj(top - 1, xm)]
-        for i in range(1, 2 * order):
-            ladder.append(2 * (top - i) / xm * ladder[-1] - ladder[-2])
-    return [float(v) for v in reversed(ladder[: 2 * order + 1])]
 
 
 # ---------------------------------------------------------------------------
@@ -126,26 +88,42 @@ def jet_compose(inner: np.ndarray, outer: np.ndarray) -> np.ndarray:
     return res
 
 
-def bessel_j_jet(nu: float, center: float, order: int) -> np.ndarray:
-    """Taylor jet of J_nu about ``center`` > 0 via the derivative ladder.
+# ---------------------------------------------------------------------------
+# The entire part of Bessel J of real order
+# ---------------------------------------------------------------------------
 
-    d^k J_nu = 2^{-k} sum_m (-1)^m C(k, m) J_{nu - k + 2m}.
+#: Working precision (bits) of mpmath's Bessel J and of the downward ladder.
+_BESSEL_PREC = 96
+
+
+def bessel_entire_jet(nu: float, w: float, order: int) -> np.ndarray:
+    """Taylor jet about s = w^2 of the entire part of J_nu,
+    g(s) = sum_p (-s/4)^p / (p! Gamma(nu+p+1)), so J_nu(z) = (z/2)^nu g(z^2).
+
+    The k-th coefficient is (-1/4)^k G_k / k! with G_k = (w/2)^-(nu+k)
+    J_{nu+k}(w) (DLMF 10.6.6), which tends to 1/Gamma(nu+k+1) as w -> 0;
+    at w = 0 it is that series.  J_{nu+order} and J_{nu+order-1} come from
+    mpmath.besselj, the lower orders from J_{mu-1} = (2 mu / w) J_mu -
+    J_{mu+1}, run downward, the direction in which J is the minimal
+    solution (Gautschi, SIAM Review 9, 1967).
     """
-    if order > 12:
-        raise DomainError("jet order capped at 12")
-    if center <= 0.0:
-        raise DomainError("jet center must be positive")
-    if nu < 0.0:
-        raise DomainError(f"order must be nonnegative, got nu={nu}")
-    # jl[i] = J_{nu - order + i}, all at the same argument.
-    jl = _bessel_j_ladder(nu, center, order)
-    coeffs = np.zeros(order + 1)
-    for k in range(order + 1):
-        acc = 0.0
-        for m in range(k + 1):
-            acc += (-1.0) ** m * math.comb(k, m) * jl[order - k + 2 * m]
-        coeffs[k] = acc / (2.0**k * math.factorial(k))
-    return coeffs
+    if w == 0.0:
+        return np.array([(-0.25) ** k / (math.factorial(k)
+                                         * math.gamma(nu + k + 1.0))
+                         for k in range(order + 1)])
+    with mp.workprec(_BESSEL_PREC):
+        wm = mp.mpf(w)
+        top = mp.mpf(nu) + order
+        ladder = [mp.besselj(top, wm), mp.besselj(top - 1, wm)]
+        for i in range(1, order):
+            ladder.append(2 * (top - i) / wm * ladder[-1] - ladder[-2])
+        # ladder[i] = J_{nu+order-i}(w); c = (-1/4)^k (w/2)^-(nu+k) / k!
+        c = (wm / 2) ** -nu
+        jet = []
+        for k in range(order + 1):
+            jet.append(float(c * ladder[order - k]))
+            c /= -2 * wm * (k + 1)
+        return np.array(jet)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,10 @@ from oscbessel.oracle import OracleConfig, reference_integral
 from oscbessel.problem import ProblemSpec
 
 
+def no_work(*args):
+    raise AssertionError("work done before N was checked")
+
+
 class TestCcfIntegrate:
     def test_basis_function_gives_single_moment(self):
         spec = ProblemSpec(0.2, 0.4, 0.0, 20.0,
@@ -61,6 +65,19 @@ class TestCcfIntegrate:
         with pytest.raises(DomainError):
             ccf_integrate(ProblemSpec(0.2, 0.4, 0.0, 20.0), 8)
 
+    @pytest.mark.parametrize("N", [64.0, 16.7, "64"])
+    def test_non_integral_n_rejected_before_work(self, N, monkeypatch):
+        # A float N raised numpy's TypeError only after the table was
+        # built; now it is a DomainError before f is sampled.
+        monkeypatch.setattr(ccf, "moment_table", no_work)
+        spec = ProblemSpec(0.2, 0.4, 0.0, 20.0, integrand=no_work)
+        with pytest.raises(DomainError, match="N must be an integer"):
+            ccf_integrate(spec, N)
+
+    def test_numpy_integer_n_accepted(self):
+        spec = ProblemSpec(0.2, 0.4, 0.0, 20.0, integrand=math.exp)
+        assert ccf_integrate(spec, np.int64(16)) == ccf_integrate(spec, 16)
+
 
 class TestPolynomialExactness:
     def test_registry_chebyshev_polynomials(self):
@@ -94,6 +111,14 @@ class TestConvergenceStudy:
             convergence_study(spec, [16, 16, 32], 1.0)
         with pytest.raises(DomainError):
             convergence_study(spec, [], 1.0)
+
+    def test_non_integral_n_rejected_before_work(self, monkeypatch):
+        # [16.7, 32.9] ran N = 16 and 32 without a word.
+        monkeypatch.setattr(ccf, "moment_table", no_work)
+        spec = ProblemSpec(0.2, 0.4, 0.0, 20.0, integrand=no_work)
+        for N_list in ([16.7, 32.9], [16, 32.0]):
+            with pytest.raises(DomainError, match="N must be an integer"):
+                convergence_study(spec, N_list, 1.0)
 
     @pytest.mark.parametrize("reference", [math.inf, -math.inf, math.nan])
     def test_requires_finite_reference(self, reference):

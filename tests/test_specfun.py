@@ -6,26 +6,8 @@ import pytest
 from mpmath.libmp import NoConvergence
 
 from oscbessel.errors import ConvergenceError, DomainError, PoleError
-from oscbessel.specfun import (_bessel_j_ladder, bessel_j_jet,
-                               gamma, hyp2f3, jet_compose, jet_mul, jet_pow,
-                               shifted_cheb_power_coeffs)
-
-
-class TestGamma:
-    def test_known_values(self):
-        assert gamma(1.0) == 1.0
-        assert gamma(5.0) == 24.0
-        assert abs(gamma(0.5) - math.sqrt(math.pi)) < 1e-15
-
-    def test_relative_error_grid(self):
-        for x in np.linspace(0.05, 50.0, 401):
-            want = float(mp.gamma(float(x)))
-            assert abs(gamma(float(x)) - want) <= 1e-14 * abs(want)
-
-    def test_pole_errors(self):
-        for x in (0.0, -1.0, -2.0, -17.0):
-            with pytest.raises(PoleError):
-                gamma(x)
+from oscbessel.specfun import (bessel_entire_jet, hyp2f3, jet_compose,
+                               jet_mul, jet_pow, shifted_cheb_power_coeffs)
 
 
 def besselj(nu, x):
@@ -33,25 +15,33 @@ def besselj(nu, x):
     return float(mp.besselj(nu, x))
 
 
+def entire_part(nu, s):
+    """g(s) = (sqrt(s)/2)^-nu J_nu(sqrt(s)), the function the jet expands."""
+    z = math.sqrt(s)
+    return (z / 2) ** -nu * besselj(nu, z)
+
+
 class TestBesselJet:
     def test_order_zero_and_first_derivative(self):
-        jet0 = bessel_j_jet(1.7, 3.0, 0)
-        assert jet0[0] == pytest.approx(besselj(1.7, 3.0))
-        jet1 = bessel_j_jet(0.0, 1.0, 1)
-        assert jet1[1] == pytest.approx(-besselj(1.0, 1.0),
-                                     abs=1e-14)
+        jet0 = bessel_entire_jet(1.7, 3.0, 0)
+        assert jet0[0] == pytest.approx(entire_part(1.7, 9.0))
+        # g'(s) = -(1/4) (z/2)^-(nu+1) J_{nu+1}(z), s = z^2
+        jet1 = bessel_entire_jet(0.0, 1.0, 1)
+        assert jet1[1] == pytest.approx(-0.5 * besselj(1.0, 1.0), abs=1e-14)
+        assert bessel_entire_jet(2.5, 0.0, 0)[0] == 1 / math.gamma(3.5)
 
     def test_against_finite_differences(self):
-        jet = bessel_j_jet(0.0, 2.0, 4)
-        # Two step sizes: the third difference wants a small h (its error
-        # is truncation-bound), the fourth a larger one (roundoff-bound).
+        jet = bessel_entire_jet(0.0, 2.0, 4)
+        # Two step sizes in s about 4: the third difference wants a small
+        # h (its error is truncation-bound), the fourth a larger one
+        # (roundoff-bound).
         h = 2e-3
-        f = np.array([besselj(0.0, 2.0 + h * i) for i in range(-2, 3)])
+        f = np.array([entire_part(0.0, 4.0 + h * i) for i in range(-2, 3)])
         d1 = (-f[4] + 8 * f[3] - 8 * f[1] + f[0]) / (12 * h)
         d2 = (-f[4] + 16 * f[3] - 30 * f[2] + 16 * f[1] - f[0]) / (12 * h**2)
         d3 = (f[4] - 2 * f[3] + 2 * f[1] - f[0]) / (2 * h ** 3)
         h4 = 5e-3
-        g = np.array([besselj(0.0, 2.0 + h4 * i) for i in range(-2, 3)])
+        g = np.array([entire_part(0.0, 4.0 + h4 * i) for i in range(-2, 3)])
         d4 = (g[4] - 4 * g[3] + 6 * g[2] - 4 * g[1] + g[0]) / h4 ** 4
         for n, want in ((1, d1), (2, d2), (3, d3), (4, d4)):
             got = jet[n]
@@ -59,35 +49,38 @@ class TestBesselJet:
             assert abs(got - fd) <= 1e-7 * (1.0 + abs(fd)), n
 
     def test_ladder_against_mpmath(self):
-        # Two mpmath orders and the downward recurrence give all 25.
-        for nu in (0.0, 0.5, 1.0, 2.5, 7.0, 20.0):
-            for x in (0.3, 1.0, 3.0, 20.0, 200.0, 1e3, 1e4, 1e5):
-                got = _bessel_j_ladder(nu, x, 12)
-                with mp.workprec(200):
-                    want = [float(mp.besselj(mp.mpf(nu) - 12 + i, x))
-                            for i in range(25)]
-                scale = max(map(abs, want))
-                for g, w in zip(got, want):
-                    assert abs(g - w) <= 1e-13 * scale, (nu, x)
+        # Two mpmath orders and the downward recurrence give all 13; the
+        # reference is the independent route (-1/4)^k 0F1(; nu+1+k; -w^2/4)
+        # / (k! Gamma(nu+1+k)), and w = 0 takes the series branch.  Each
+        # coefficient is checked on its own scale.  nu = 10.726... is not
+        # dyadic: there a power (w/2)^-(nu+k) with nu + k rounded to double
+        # is 1.7e-14 off at w = 36185.7, and the series branch's double
+        # Gamma(nu+k+1) 5.7e-15.
+        for nu in (0.0, 0.5, 1.0, 2.5, 7.0, 10.72632902127828, 20.0):
+            for w in (0.0, 0.01, 0.3, 1.0, 3.0, 20.0, 200.0, 1e3, 1e4,
+                      36185.69511342976, 1e5):
+                got = bessel_entire_jet(nu, w, 12)
+                with mp.workdps(40):
+                    b = [mp.mpf(nu) + 1 + k for k in range(13)]
+                    want = [float((-mp.mpf(1) / 4) ** k
+                                  * mp.hyp0f1(b[k], -mp.mpf(w) ** 2 / 4)
+                                  / (mp.factorial(k) * mp.gamma(b[k])))
+                            for k in range(13)]
+                for g, c in zip(got, want):
+                    assert abs(g - c) <= 1e-14 * abs(c), (nu, w)
 
     def test_bessel_ode_residual(self):
-        # x^2 J'' + x J' + (x^2 - nu^2) J = 0 with jet derivatives.
+        # 4 s g'' + 4 (nu+1) g' + g = 0, Bessel's equation for the entire
+        # part, in Taylor coefficients about s0 = w^2:
+        # 4 s0 (k+1)(k+2) c_{k+2} + 4 (k+1)(k+nu+1) c_{k+1} + c_k = 0.
         for nu in (0.0, 1.0, 2.5, 7.0):
-            for x in (0.5, 1.0, 3.0, 10.0, 40.0, 150.0):
-                jet = bessel_j_jet(nu, x, 2)
-                j0 = jet[0]
-                j1 = jet[1]
-                j2 = 2.0 * jet[2]
-                resid = x * x * j2 + x * j1 + (x * x - nu * nu) * j0
-                assert abs(resid) <= 1e-9 * max(1.0, abs(x * x * j0))
-
-    def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            bessel_j_jet(-0.5, 1.0, 2)
-        with pytest.raises(DomainError):
-            bessel_j_jet(1.0, -1.0, 2)
-        with pytest.raises(DomainError):
-            bessel_j_jet(1.0, 1.0, 13)
+            for w in (0.0, 0.5, 1.0, 3.0, 10.0, 40.0, 150.0):
+                c = bessel_entire_jet(nu, w, 12)
+                for k in range(11):
+                    terms = (4 * w * w * (k + 1) * (k + 2) * c[k + 2],
+                             4 * (k + 1) * (k + nu + 1) * c[k + 1], c[k])
+                    resid = abs(sum(terms))
+                    assert resid <= 1e-12 * max(map(abs, terms)), (nu, w, k)
 
 
 class TestJetArithmetic:
