@@ -8,13 +8,13 @@ from .chebfit import (ChebyshevExpansion, cc_points, cheb_eval,
                       cheb_interp_coeffs)
 from .errors import (AccuracyError, ConvergenceError, DomainError,
                      OscBesselError, PoleError, SingularSystemError)
-from .moments import (MomentTable, end_moment_asymptotic, forward_moments,
-                      moment_table, power_moment, recurrence_coefficients,
+from .moments import (MomentTable, end_moment_asymptotic, moment_table,
+                      power_moment, recurrence_coefficients,
                       recurrence_residual)
 from .oracle import (OracleConfig, reference_integral, reference_moment,
                      reference_moments)
 from .problem import ProblemSpec
-from .specfun import hyp2f3, shifted_cheb_power_coeffs
+from .specfun import hyp2f3
 
 __version__ = "0.1.0"
 
@@ -24,11 +24,11 @@ __all__ = [
     "convergence_study", "fit_rate", "clear_moment_cache",
     "ChebyshevExpansion", "cc_points", "cheb_interp_coeffs", "cheb_eval",
     "MomentTable", "moment_table", "power_moment",
-    "forward_moments", "end_moment_asymptotic",
+    "end_moment_asymptotic",
     "recurrence_coefficients", "recurrence_residual",
     "OracleConfig", "reference_integral", "reference_moment",
     "reference_moments",
-    "hyp2f3", "shifted_cheb_power_coeffs",
+    "hyp2f3",
     "OscBesselError", "DomainError", "PoleError", "ConvergenceError",
     "AccuracyError", "SingularSystemError",
 ]

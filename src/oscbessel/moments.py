@@ -3,8 +3,8 @@
 Computes M(k) = int_0^1 x^a (1-x)^b T_k*(x) J_nu(w x) dx for k = 0..N by a
 hybrid strategy: starting values M(0)..M(5), forward recursion while
 k <= w/2, Oliver's boundary-value reformulation beyond that, and an
-endpoint asymptotic expansion for the two trailing boundary moments,
-summed end by end; an end where the kernel is even and analytic
+endpoint asymptotic expansion for the trailing boundary moments, summed
+end by end; an end where the kernel is even and analytic
 (superalgebraic) contributes 0 within a Cauchy bound on a strip.  Where
 the expansion stalls, the far edge of the window is moved outward; the
 oracle never supplies a boundary value.  The
@@ -33,15 +33,8 @@ from .errors import AccuracyError, DomainError, SingularSystemError
 # name, so the name stays until the tracer reads a diagnostics record.
 from .oracle import reference_moment
 from .problem import ProblemSpec, as_size
-from .specfun import (
-    ExtendedReal,
-    bessel_entire_jet,
-    hyp2f3,
-    jet_compose,
-    jet_mul,
-    jet_pow,
-    shifted_cheb_power_coeffs,
-)
+from .specfun import (ExtendedReal, bessel_entire_jet, hyp2f3, jet_compose,
+                      jet_mul, jet_pow)
 
 __all__ = [
     "ProblemSpec",
@@ -49,7 +42,6 @@ __all__ = [
     "BandedSystem",
     "recurrence_coefficients",
     "power_moment",
-    "forward_moments",
     "end_moment_asymptotic",
     "moment_table",
     "recurrence_residual",
@@ -201,6 +193,10 @@ def power_moment(a: float, b: float, nu: float, omega: float) -> ExtendedReal:
     return ExtendedReal(val, _PIPE_PREC, err_est=err)
 
 
+#: Integer coefficients c_j of T_k*(x) = sum_j c_j x^(k-j), k = 0..3.
+_SHIFTED_CHEB = ((1,), (2, -1), (8, -8, 1), (32, -48, 18, -1))
+
+
 def _combine(terms):
     """(sum c v, sum |c| E) over pairs (c, (v, E)) with exact rational c,
     summed in order at the pipeline precision."""
@@ -231,7 +227,7 @@ def _starting_mpf(spec: ProblemSpec, count: int):
     ivals = [(h.value, h.err_est) for h in (
         power_moment(ai, spec.beta, spec.nu, spec.omega) for ai in shifted)]
     out = [_combine((c, ivals[k - j]) for j, c
-                    in enumerate(shifted_cheb_power_coeffs(k)))
+                    in enumerate(_SHIFTED_CHEB[k]))
            for k in range(len(ivals))]
     quads = list(zip(_OFFSETS, *_exact_quadratics(
         spec.alpha, spec.beta, spec.nu, spec.omega)))
@@ -430,23 +426,25 @@ def end_moment_asymptotic(spec: ProblemSpec, j: int, jets=None,
 # The recurrence as one banded system: forward rows and Oliver rows
 # ---------------------------------------------------------------------------
 
-#: Lower and upper bandwidth: a forward row m has M(m+4) on the diagonal
-#: and reaches eight columns left; an Oliver row has M(m+2) there, with
-#: entries two columns right and six left.
+#: Lower and upper bandwidth.  A forward row m has M(m+4) on the diagonal
+#: and reaches eight columns left.  An Oliver row has M(m+4-_KU) there and
+#: reaches _KU columns right, so _KU is also the number of end moments
+#: M(k_hi+1)..M(k_hi+_KU) that close the window.
 _KL, _KU = 8, 2
 _MAX_REFINE = 4
+#: The first unknown: M(0)..M(5) are the starting values.
+_K_LO = 6
 
 
 @dataclass
 class BandedSystem:
-    """Recurrence rows m[i] over the unknowns M(k_lo)..M(k_hi).
+    """Recurrence rows m[i] over the unknowns M(6)..M(k_hi).
 
     ``coef`` holds c_d(m) over _OFFSETS as (hi, lo) arrays of shape
-    (7, dimension); ``known`` holds M(0)..M(k_hi+2) as (hi, lo) arrays,
+    (7, dimension); ``known`` holds M(0)..M(k_hi+_KU) as (hi, lo) arrays,
     boundary values set and zero at the unknowns.
     """
 
-    k_lo: int
     k_hi: int
     m: np.ndarray
     coef: tuple
@@ -454,13 +452,13 @@ class BandedSystem:
     dimension: int = field(init=False)
 
     def __post_init__(self):
-        self.dimension = self.k_hi - self.k_lo + 1
+        self.dimension = self.k_hi - _K_LO + 1
         #: index |m + d| of every stencil entry, shape (7, dimension)
         self.index = np.abs(self.m + np.array(_OFFSETS)[:, None])
 
     def _residual(self, vh, vl):
         """(-sum_d c_d M(|m+d|) in double-double, largest |term|) per row,
-        for M(0)..M(k_hi+2) given as (vh, vl)."""
+        for M(0)..M(k_hi+_KU) given as (vh, vl)."""
         (ch, cl), vh, vl = self.coef, vh[self.index], vl[self.index]
         th, tl = _two_prod(ch, vh)
         th, tl = _two_sum(th, tl + (ch * vl + cl * vh))     # c_d M, as dd
@@ -485,7 +483,7 @@ class BandedSystem:
 
         n = self.dimension
         rows = np.broadcast_to(np.arange(n), self.index.shape)
-        cols = self.index - self.k_lo
+        cols = self.index - _K_LO
         inside = (cols >= 0) & (cols < n)
         ab = np.zeros((2 * _KL + _KU + 1, n))
         np.add.at(ab, (_KL + _KU + rows[inside] - cols[inside], cols[inside]),
@@ -494,7 +492,7 @@ class BandedSystem:
         if info > 0:
             raise SingularSystemError("zero pivot column", row=info - 1)
         vh, vl = (v.copy() for v in self.known)
-        unknown = slice(self.k_lo, self.k_hi + 1)
+        unknown = slice(_K_LO, self.k_hi + 1)
         for step in range(_MAX_REFINE + 1):
             r, scale = self._residual(vh, vl)
             delta, _ = dgbtrs(lu, _KL, _KU, r, piv)
@@ -512,37 +510,20 @@ class BandedSystem:
         return vh[unknown], vl[unknown]
 
 
-def _recurrence_system(spec: ProblemSpec, k_lo: int, k_switch: int,
-                       k_hi: int, boundary: dict) -> BandedSystem:
-    """The hybrid's equations over the unknowns M(k_lo..k_hi), k_lo >= 6:
-    forward rows m = k_lo-4 .. k_switch-4 (the recursion up to M(k_switch)),
-    then Oliver rows m = k_switch-1 .. k_hi-2.  ``boundary`` maps every
-    index the rows reach outside k_lo..k_hi to its (hi, lo) value.
+def _recurrence_system(spec: ProblemSpec, k_switch: int, k_hi: int,
+                       boundary: dict) -> BandedSystem:
+    """The hybrid's equations over the unknowns M(6..k_hi): forward rows
+    m = 2 .. k_switch-4 (the recursion up to M(k_switch)), then Oliver rows
+    m = k_switch-3+_KU .. k_hi-4+_KU.  ``boundary`` maps every index the
+    rows reach outside 6..k_hi to its (hi, lo) value: M(0)..M(5) and, with
+    Oliver rows, the end moments M(k_hi+1)..M(k_hi+_KU).
     """
-    m = np.concatenate([np.arange(k_lo - 4, k_switch - 3),
-                        np.arange(k_switch - 1, k_hi - 1)])
-    known = (np.zeros(k_hi + 3), np.zeros(k_hi + 3))
+    m = np.concatenate([np.arange(_K_LO - 4, k_switch - 3),
+                        np.arange(k_switch - 3 + _KU, k_hi - 3 + _KU)])
+    known = (np.zeros(k_hi + _KU + 1), np.zeros(k_hi + _KU + 1))
     for q, (hi, lo) in boundary.items():
         known[0][q], known[1][q] = hi, lo
-    return BandedSystem(k_lo, k_hi, m, _row_coefficients(spec, m), known)
-
-
-def forward_moments(spec: ProblemSpec, start, k_max: int) -> np.ndarray:
-    """M(0)..M(k_max) by forward recursion from the six starting values.
-
-    Stable while k <= omega/2; past that the dominant homogeneous solution
-    takes over and Oliver's algorithm must be used instead.
-    """
-    start = np.asarray(start, dtype=float)
-    if start.shape != (6,):
-        raise DomainError("start must hold exactly M(0)..M(5)")
-    if k_max < 5:
-        raise DomainError("k_max must be at least 5")
-    if k_max == 5:
-        return start.copy()
-    boundary = {q: (v, 0.0) for q, v in enumerate(start.tolist())}
-    xh, _ = _recurrence_system(spec, 6, k_max, k_max, boundary).solve()
-    return np.concatenate([start, xh])
+    return BandedSystem(k_hi, m, _row_coefficients(spec, m), known)
 
 
 # ---------------------------------------------------------------------------
@@ -579,13 +560,13 @@ def moment_table(spec: ProblemSpec, N: int) -> MomentTable:
     Starting values for k <= 5 (tagged closed-form: four 2F3 closed forms
     and two solved recurrence rows, see _starting_mpf), forward recursion
     to k_switch = clamp of floor(omega/2) into [5, N], then Oliver's
-    algorithm up to k_hi = max(N, 2 omega, 50), closed by the end moments
-    M(k_hi+1) and M(k_hi+2) from end_moment_asymptotic, whose endpoint jets
-    are built once.  An end moment is accepted within 1e-8 relative or
-    within 1e-16 max|M(0..5)| absolute, the residual audit's floor.  While
-    the expansion raises AccuracyError at either end moment, k_hi is
-    doubled, at most _MAX_PUSH times; then the error propagates.  Both
-    recurrences are solved together as one banded system.
+    algorithm up to k_hi = max(N, 2 omega, 50), closed by the _KU end
+    moments M(k_hi+1)..M(k_hi+_KU) from end_moment_asymptotic, whose
+    endpoint jets are built once.  An end moment is accepted within 1e-8
+    relative or within 1e-16 max|M(0..5)| absolute, the residual audit's
+    floor.  While the expansion raises AccuracyError at any end moment,
+    k_hi is doubled, at most _MAX_PUSH times; then the error propagates.
+    Both recurrences are solved together as one banded system.
     """
     N = as_size(N, 0)
     count = min(N + 1, 6)
@@ -609,16 +590,17 @@ def moment_table(spec: ProblemSpec, N: int) -> MomentTable:
         abs_tol = 1e-16 * np.abs(vals).max()
         for push in range(_MAX_PUSH + 1):
             try:
-                ends = [end_moment_asymptotic(spec, jj, jets=jets,
+                ends = [end_moment_asymptotic(spec, j, jets=jets,
                                               abs_tol=abs_tol)
-                        for jj in (k_hi + 1, k_hi + 2)]
+                        for j in range(k_hi + 1, k_hi + _KU + 1)]
                 break
             except AccuracyError:
                 if push == _MAX_PUSH:
                     raise
                 k_hi *= 2
-        boundary[k_hi + 1], boundary[k_hi + 2] = ((v, 0.0) for v, _ in ends)
-    system = _recurrence_system(spec, 6, k_switch, k_hi, boundary)
+        boundary.update((k_hi + 1 + i, (v, 0.0))
+                        for i, (v, _) in enumerate(ends))
+    system = _recurrence_system(spec, k_switch, k_hi, boundary)
     vals = np.concatenate([vals, system.solve()[0][: N - 5]])
 
     # Forward error estimate: each new entry inherits the largest error
@@ -633,7 +615,7 @@ def moment_table(spec: ProblemSpec, N: int) -> MomentTable:
     errs = np.array(E + [0.0] * (N - k_switch))
     meth = ["closed-form"] * 6 + ["forward"] * nf
     if N > k_switch:
-        base = max(max(E[k_switch - 5:]), ends[0][1], ends[1][1])
+        base = max(E[k_switch - 5:] + [e for _, e in ends])
         scale = max(np.abs(vals[k_switch - 5:]).max(), abs(ends[0][0]))
         errs[k_switch + 1:] = base + 1e-14 * scale
         meth += ["oliver"] * (N - k_switch)

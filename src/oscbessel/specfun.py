@@ -1,8 +1,7 @@
 """Special functions and truncated Taylor series.
 
-The Taylor jet of the entire part of Bessel J of real order, the
-generalized hypergeometric series 2F3, and the exact power-basis
-coefficients of shifted Chebyshev polynomials.  Bessel J and 2F3 come
+The Taylor jet of the entire part of Bessel J of real order and the
+generalized hypergeometric series 2F3.  Bessel J, 1/Gamma and 2F3 come
 from mpmath at fixed working precisions; there is no hand-written series.
 The jet's Bessel orders nu..nu+order follow from two mpmath values by the
 downward three-term recurrence.  A jet is a plain numpy array of Taylor
@@ -11,7 +10,6 @@ coefficients, with a truncated product, a real power and a composition.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import mpmath as mp
@@ -27,7 +25,6 @@ __all__ = [
     "jet_pow",
     "jet_compose",
     "hyp2f3",
-    "shifted_cheb_power_coeffs",
 ]
 
 
@@ -102,16 +99,17 @@ def bessel_entire_jet(nu: float, w: float, order: int) -> np.ndarray:
 
     The k-th coefficient is (-1/4)^k G_k / k! with G_k = (w/2)^-(nu+k)
     J_{nu+k}(w) (DLMF 10.6.6), which tends to 1/Gamma(nu+k+1) as w -> 0;
-    at w = 0 it is that series.  J_{nu+order} and J_{nu+order-1} come from
-    mpmath.besselj, the lower orders from J_{mu-1} = (2 mu / w) J_mu -
+    at w = 0 it is that series, each coefficient formed in mpf from
+    mpmath.rgamma and rounded once.  J_{nu+order} and J_{nu+order-1} come
+    from mpmath.besselj, the lower orders from J_{mu-1} = (2 mu / w) J_mu -
     J_{mu+1}, run downward, the direction in which J is the minimal
     solution (Gautschi, SIAM Review 9, 1967).
     """
-    if w == 0.0:
-        return np.array([(-0.25) ** k / (math.factorial(k)
-                                         * math.gamma(nu + k + 1.0))
-                         for k in range(order + 1)])
     with mp.workprec(_BESSEL_PREC):
+        if w == 0.0:
+            return np.array([float(mp.rgamma(mp.mpf(nu) + k + 1)
+                                   / (mp.factorial(k) * (-4) ** k))
+                             for k in range(order + 1)])
         wm = mp.mpf(w)
         top = mp.mpf(nu) + order
         ladder = [mp.besselj(top, wm), mp.besselj(top - 1, wm)]
@@ -157,25 +155,3 @@ def hyp2f3(a1, a2, b1, b2, b3, z) -> ExtendedReal:
         except (NoConvergence, ValueError) as exc:
             raise ConvergenceError(f"2F3 at z={float(z):.6g}: {exc}") from exc
     return ExtendedReal(value, _HYP_PREC, 2.0 ** -192 * float(abs(value)))
-
-
-# ---------------------------------------------------------------------------
-# Shifted Chebyshev power-basis coefficients
-# ---------------------------------------------------------------------------
-
-def shifted_cheb_power_coeffs(k: int) -> list[int]:
-    """Exact integer coefficients c_j with T_k*(x) = sum_j c_j x^(k-j).
-
-    c_j = (-1)^j 2^(2k-2j-1) [2 C(2k-j, j) - C(2k-j-1, j)], j = 0..k.
-    """
-    if k < 0:
-        raise DomainError("k must be nonnegative")
-    if k == 0:
-        return [1]
-    out = []
-    for j in range(k + 1):
-        bracket = 2 * math.comb(2 * k - j, j) - math.comb(2 * k - j - 1, j)
-        e = 2 * k - 2 * j - 1
-        val = bracket << e if e >= 0 else bracket // 2
-        out.append(val if j % 2 == 0 else -val)
-    return out

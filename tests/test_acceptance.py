@@ -26,7 +26,7 @@ import pytest
 from conftest import record_criterion
 from oscbessel.ccf import ConvergenceRecord, ccf_integrate, fit_rate
 from oscbessel.chebfit import ChebyshevExpansion, cc_points, cheb_interp_coeffs
-from oscbessel.moments import (forward_moments, moment_table,
+from oscbessel.moments import (_recurrence_system, moment_table,
                                recurrence_coefficients, recurrence_residual)
 from oscbessel.oracle import (OracleConfig, reference_integral,
                               reference_moments)
@@ -125,8 +125,13 @@ def test_criterion_04_moment_grid_vs_oracle():
 
 
 def test_criterion_05_stability_witness():
+    # The witness is forward recursion alone from the six starting values:
+    # the hybrid's system with k_switch = k_hi = 200 has no Oliver rows.
     spec = ProblemSpec(0.2, 0.4, 0.0, 20.0)
-    fwd = forward_moments(spec, moment_table(spec, 5).values, 200)
+    start = moment_table(spec, 5).values
+    boundary = {q: (v, 0.0) for q, v in enumerate(start.tolist())}
+    fwd = np.concatenate(
+        [start, _recurrence_system(spec, 200, 200, boundary).solve()[0]])
     table = moment_table(spec, 200)
     oracle = reference_moments(spec, list(range(201)),
                                OracleConfig(rel_tol=1e-12))
