@@ -403,6 +403,7 @@ def end_moment_asymptotic(spec: ProblemSpec, j: int, jets=None,
     _END_TERMS)``, built once for several j; by default they are built
     here.
     """
+    j = as_size(j, 0, "j")
     if j < max(50.0, 2.0 * spec.omega):
         raise DomainError(
             f"asymptotic end moment needs j >= max(50, 2 omega), got {j}")
@@ -441,14 +442,14 @@ class BandedSystem:
     """Recurrence rows m[i] over the unknowns M(6)..M(k_hi).
 
     ``coef`` holds c_d(m) over _OFFSETS as (hi, lo) arrays of shape
-    (7, dimension); ``known`` holds M(0)..M(k_hi+_KU) as (hi, lo) arrays,
-    boundary values set and zero at the unknowns.
+    (7, dimension); ``known`` holds M(0)..M(k_hi+_KU) as rows hi, lo and
+    err, set at the boundary values and their estimates, zero elsewhere.
     """
 
     k_hi: int
     m: np.ndarray
     coef: tuple
-    known: tuple
+    known: np.ndarray
     dimension: int = field(init=False)
 
     def __post_init__(self):
@@ -468,7 +469,7 @@ class BandedSystem:
         return rh, np.abs(th).max(axis=0)
 
     def solve(self):
-        """(hi, lo) arrays of the unknowns.
+        """(hi, lo, err) arrays of the unknowns.
 
         The hi parts of the coefficients are factored once by LAPACK's
         banded LU with partial pivoting.  Each step forms the residual in
@@ -477,7 +478,11 @@ class BandedSystem:
         It stops once a step leaves every hi part unchanged, or after
         _MAX_REFINE steps.  The last residual is the audit: a row above
         1e-10 of its largest term, floored at 1e-16 of the largest row's
-        (roundoff of the table), raises AccuracyError.
+        (roundoff of the table), raises AccuracyError.  err is
+        sum_q |dM/dM(q)| err(q) over the boundary indices q, plus the last
+        correction, plus the response to 2^-100 of the floored row scale
+        (a double-double residual's roundoff), from one more back-solve:
+        column q of its right side is minus the coefficients that reach M(q).
         """
         from scipy.linalg.lapack import dgbtrf, dgbtrs
 
@@ -491,7 +496,7 @@ class BandedSystem:
         lu, piv, info = dgbtrf(ab, _KL, _KU)
         if info > 0:
             raise SingularSystemError("zero pivot column", row=info - 1)
-        vh, vl = (v.copy() for v in self.known)
+        vh, vl = self.known[:2].copy()
         unknown = slice(_K_LO, self.k_hi + 1)
         for step in range(_MAX_REFINE + 1):
             r, scale = self._residual(vh, vl)
@@ -507,7 +512,13 @@ class BandedSystem:
             raise AccuracyError(
                 f"row {i} residual {abs(r[i]):.3e} exceeds 1e-10 of scale",
                 err_est=float(abs(r[i]) / scale[i]))
-        return vh[unknown], vl[unknown]
+        qs, col = np.unique(self.index[~inside], return_inverse=True)
+        rhs = np.zeros((n, qs.size + 1))
+        np.add.at(rhs, (rows[~inside], col), -self.coef[0][~inside])
+        rhs[:, -1] = 2.0 ** -100 * scale
+        sens = np.abs(dgbtrs(lu, _KL, _KU, rhs, piv)[0])
+        err = sens[:, :-1] @ self.known[2][qs] + sens[:, -1] + np.abs(delta)
+        return vh[unknown], vl[unknown], err
 
 
 def _recurrence_system(spec: ProblemSpec, k_switch: int, k_hi: int,
@@ -515,14 +526,14 @@ def _recurrence_system(spec: ProblemSpec, k_switch: int, k_hi: int,
     """The hybrid's equations over the unknowns M(6..k_hi): forward rows
     m = 2 .. k_switch-4 (the recursion up to M(k_switch)), then Oliver rows
     m = k_switch-3+_KU .. k_hi-4+_KU.  ``boundary`` maps every index the
-    rows reach outside 6..k_hi to its (hi, lo) value: M(0)..M(5) and, with
+    rows reach outside 6..k_hi to its (hi, lo, err): M(0)..M(5) and, with
     Oliver rows, the end moments M(k_hi+1)..M(k_hi+_KU).
     """
     m = np.concatenate([np.arange(_K_LO - 4, k_switch - 3),
                         np.arange(k_switch - 3 + _KU, k_hi - 3 + _KU)])
-    known = (np.zeros(k_hi + _KU + 1), np.zeros(k_hi + _KU + 1))
-    for q, (hi, lo) in boundary.items():
-        known[0][q], known[1][q] = hi, lo
+    known = np.zeros((3, k_hi + _KU + 1))
+    for q, value in boundary.items():
+        known[:, q] = value
     return BandedSystem(k_hi, m, _row_coefficients(spec, m), known)
 
 
@@ -566,20 +577,21 @@ def moment_table(spec: ProblemSpec, N: int) -> MomentTable:
     relative or within 1e-16 max|M(0..5)| absolute, the residual audit's
     floor.  While the expansion raises AccuracyError at any end moment,
     k_hi is doubled, at most _MAX_PUSH times; then the error propagates.
-    Both recurrences are solved together as one banded system.
+    Both recurrences are solved together as one banded system.  err_est
+    is absolute: the closed forms' for k <= 5, BandedSystem.solve's err
+    above (seeds carry theirs plus 2^-104 |M| for the hi + lo split, end
+    moments the expansion's), each plus half an ulp of the stored double.
     """
     N = as_size(N, 0)
-    count = min(N + 1, 6)
-    pairs = _starting_mpf(spec, count)
+    pairs = _starting_mpf(spec, min(N + 1, 6))
     vals = np.array([float(v) for v, _ in pairs])
-    # a closed-form entry's estimate adds the rounding of the stored double
-    E = [e + math.ulp(x) / 2 for x, (_, e) in zip(vals.tolist(), pairs)]
+    errs = np.array([e for _, e in pairs])
     if N <= 5:
         return MomentTable(spec, vals, ("closed-form",) * (N + 1),
-                           np.array(E))
+                           errs + np.spacing(np.abs(vals)) / 2)
     k_switch = max(5, min(N, int(spec.omega // 2)))
-    boundary = {q: (float(v), float(v - float(v)))
-                for q, (v, _) in enumerate(pairs)}
+    boundary = {q: (x, float(v - x), e + 2.0 ** -104 * abs(x))
+                for q, (x, (v, e)) in enumerate(zip(vals.tolist(), pairs))}
     k_hi = k_switch
     if N > k_switch:
         # The window's upper edge is pushed out to where the endpoint
@@ -598,28 +610,15 @@ def moment_table(spec: ProblemSpec, N: int) -> MomentTable:
                 if push == _MAX_PUSH:
                     raise
                 k_hi *= 2
-        boundary.update((k_hi + 1 + i, (v, 0.0))
-                        for i, (v, _) in enumerate(ends))
+        boundary.update((k_hi + 1 + i, (v, 0.0, e))
+                        for i, (v, e) in enumerate(ends))
     system = _recurrence_system(spec, k_switch, k_hi, boundary)
-    vals = np.concatenate([vals, system.solve()[0][: N - 5]])
-
-    # Forward error estimate: each new entry inherits the largest error
-    # it is formed from, plus 1e-15 of its terms' scale over c_4.
-    nf = k_switch - 5
-    terms = np.abs(system.coef[0][:6, :nf] * vals[system.index[:6, :nf]])
-    steps = (1e-15 * terms.sum(axis=0) / system.coef[0][6, 0]).tolist()
-    E += [0.0] * nf
-    for k, step in enumerate(steps, start=2):
-        E[k + 4] = max(E[abs(k - 4)], E[k - 2], E[k - 1], E[k], E[k + 1],
-                       E[k + 2]) + step
-    errs = np.array(E + [0.0] * (N - k_switch))
-    meth = ["closed-form"] * 6 + ["forward"] * nf
-    if N > k_switch:
-        base = max(E[k_switch - 5:] + [e for _, e in ends])
-        scale = max(np.abs(vals[k_switch - 5:]).max(), abs(ends[0][0]))
-        errs[k_switch + 1:] = base + 1e-14 * scale
-        meth += ["oliver"] * (N - k_switch)
-    return MomentTable(spec, vals, tuple(meth), errs)
+    hi, _, err = system.solve()
+    vals = np.concatenate([vals, hi[: N - 5]])
+    errs = np.concatenate([errs, err[: N - 5]])
+    meth = (("closed-form",) * 6 + ("forward",) * (k_switch - 5)
+            + ("oliver",) * (N - k_switch))
+    return MomentTable(spec, vals, meth, errs + np.spacing(np.abs(vals)) / 2)
 
 
 def recurrence_residual(table: MomentTable, k: int) -> float:

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import jv
 
 from .errors import AccuracyError, DomainError
-from .problem import ProblemSpec
+from .problem import ProblemSpec, as_size
 
 __all__ = ["OracleConfig", "reference_integral", "reference_moment",
            "reference_moments"]
@@ -291,9 +291,9 @@ def _moment_theta(spec, ks, cfg):
     of |W|, ends and interior, which bounds |W cos(2 k theta)| for each k.
     """
     cfg = cfg or OracleConfig()
-    ks = np.array(sorted(set(int(k) for k in ks)))
-    if not ks.size or ks[0] < 0:
-        raise DomainError("need one or more nonnegative moment indices")
+    ks = np.array(sorted({as_size(k, 0, "k") for k in ks}), dtype=int)
+    if not ks.size:
+        raise DomainError("need one or more moment indices")
     a, b, nu, w = spec.alpha, spec.beta, spec.nu, spec.omega
     q = max(int(ks.max()), int(math.ceil(w / 2.0)), 8)
     # zeros of cos(2 q theta); tanh-sinh ends cover the first/last few

@@ -50,13 +50,13 @@ class ProblemSpec:
         return (self.alpha, self.beta, self.nu, self.omega)
 
 
-def as_size(N, least: int) -> int:
+def as_size(N, least: int, name: str = "N") -> int:
     """N as an int no smaller than ``least``; a float N, even 64.0, is a
-    DomainError."""
+    DomainError.  ``name`` labels the value in the message."""
     try:
         N = operator.index(N)
     except TypeError:
-        raise DomainError(f"N must be an integer, got {N!r}") from None
+        raise DomainError(f"{name} must be an integer, got {N!r}") from None
     if N < least:
-        raise DomainError(f"N must be >= {least}, got {N}")
+        raise DomainError(f"{name} must be >= {least}, got {N}")
     return N

@@ -129,7 +129,7 @@ def test_criterion_05_stability_witness():
     # the hybrid's system with k_switch = k_hi = 200 has no Oliver rows.
     spec = ProblemSpec(0.2, 0.4, 0.0, 20.0)
     start = moment_table(spec, 5).values
-    boundary = {q: (v, 0.0) for q, v in enumerate(start.tolist())}
+    boundary = {q: (v, 0.0, 0.0) for q, v in enumerate(start.tolist())}
     fwd = np.concatenate(
         [start, _recurrence_system(spec, 200, 200, boundary).solve()[0]])
     table = moment_table(spec, 200)

@@ -32,6 +32,17 @@ class TestCcfIntegrate:
             table = moment_table(ProblemSpec(0.2, 0.4, 1.0, 20.0), max(n, 5))
             assert q.value == pytest.approx(table.values[0], rel=1e-13)
 
+    def test_moment_err_est_covers_a_wrong_table(self):
+        # ROADMAP item 1's large-alpha table is off by up to 4.2e-4, and
+        # the quadrature by 5.3e-9; its moment_err_est read 1.8e-16 when a
+        # flat estimate stood for every Oliver entry.
+        spec = ProblemSpec(4.5, -0.9, 0.0, 700.0,
+                           integrand=lambda x: abs(x - 0.5))
+        q = ccf_integrate(spec, 512)
+        ref, err = reference_integral(spec, OracleConfig(rel_tol=1e-12),
+                                      breakpoints=(0.5,))
+        assert abs(q.value - ref) - err <= q.moment_err_est
+
     def test_kink_matches_oracle(self):
         spec = ProblemSpec(0.2, 0.4, 0.0, 200.0,
                            integrand=lambda x: abs(x - 0.5))

@@ -518,6 +518,20 @@ def test_end_moment_err_est_against_oracle(case):
     assert abs(value - ref) <= err_est + ref_err
 
 
+@pytest.mark.parametrize("call, index", [
+    # 100.5 returned (5.9e-06, 4.6e-19), with the sign of neither neighbour.
+    (end_moment_asymptotic, 100.5), (end_moment_asymptotic, 101.0),
+    # 3.7 raised a bare KeyError.
+    (reference_moment, 3.7), (reference_moment, 3.0),
+    # [3.7] answered for k = 3.
+    (reference_moments, [3.7]), (reference_moments, [2, 3.0])],
+    ids=["end-100.5", "end-101.0", "single-3.7", "single-3.0",
+         "batch-3.7", "batch-3.0"])
+def test_non_integral_moment_index_rejected(call, index):
+    with pytest.raises(DomainError, match="must be an integer"):
+        call(ProblemSpec(0.2, 0.4, 0.0, 20.0), index)
+
+
 class TestMomentTable:
     def test_tiny_table_is_closed_form(self):
         spec = ProblemSpec(0.2, 0.4, 0.0, 20.0)
@@ -677,6 +691,23 @@ class TestMomentTable:
                 err = float(abs(mp.mpf(table.values[k]) - value))
                 assert err <= table.err_est[k], k
 
+    @pytest.mark.parametrize("kernel, N, ks", [
+        # A decayed entry: off by 5.2e-24, which an err_est of 5.2e-26
+        # from one flat estimate for every Oliver entry missed.
+        ((0.0, 0.0, 4.0, 0.01), 340, [340]),
+        # Off by 9.1e-10 (forward), 2.8e-8 and 4.2e-4 (Oliver); and
+        # 6.3e-11 and 3.8e-7: both ROADMAP item 1's silently wrong tables,
+        # whose err_est read at most 3.5e-14 and 6.7e-14.
+        ((4.5, -0.9, 0.0, 700.0), 512, [160, 224, 512]),
+        ((-0.7534, 3.3861, 2.6702, 2573.8), 1769, [884, 1769])])
+    def test_err_est_covers_silently_wrong_entries(self, kernel, N, ks):
+        spec = ProblemSpec(*kernel)
+        table = moment_table(spec, N)
+        refs, errs = oracle_vals(spec, ks)
+        for k in ks:
+            diff = abs(table.values[k] - refs[k])
+            assert diff - errs[k] <= table.err_est[k], (k, diff)
+
     def test_rows_decayed_to_roundoff_pass_the_audit(self):
         # 2 alpha + 2 nu + 2 and 2 beta + 2 are integers, so the moments
         # past k ~ omega/2 fall to ~1e-26.  Oliver rows there have terms of
@@ -775,6 +806,9 @@ def test_table_meets_criterion_04_bound(spec, N):
     # rel_tol 1e-12, or a typed error.  nu stays at 2.5 or below: above it
     # tables are silently wrong (ROADMAP item 1), and at nu = 4 even a
     # decayed entry can miss the bound (item 2).
+    # At the solved entries (k >= 6) the table's err_est must also cover
+    # the error; at k <= 5 the oracle's own err_est can fall short of its
+    # error.
     try:
         table = moment_table(spec, N)
     except (AccuracyError, SingularSystemError):
@@ -783,7 +817,10 @@ def test_table_meets_criterion_04_bound(spec, N):
     refs = reference_moments(spec, ks, OracleConfig(rel_tol=1e-12))
     for k in ks:
         ref, err = refs[k]
-        assert abs(table.values[k] - ref) <= 1e-8 * abs(ref) + err, k
+        diff = abs(table.values[k] - ref)
+        assert diff <= 1e-8 * abs(ref) + err, k
+        if k >= 6:
+            assert diff <= table.err_est[k] + err, k
 
 
 class TestRecurrenceResidual:
