@@ -189,3 +189,68 @@ class TestHyp2f3:
     def test_pole_parameter(self):
         with pytest.raises(PoleError):
             hyp2f3(0.5, 0.5, -1.0, 1.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("b", [-1.0 + 1e-13, -1e-13, -2.0 + 2.0 ** -45])
+    def test_near_pole_is_not_a_pole(self, b):
+        # Only an exact integer <= 0 is a pole; mpmath sums these.
+        args = (0.5, 0.5, b, 1.0, 1.0, 1.0)
+        with mp.workprec(256):
+            want = mp.hyp2f3(*(mp.mpf(v) for v in args))
+        assert abs(want) > 1e11
+        assert hyp2f3(*args).value == want
+
+    @pytest.mark.parametrize("b", [0.0, -0.0, -2.0, mp.mpf(-7)])
+    def test_every_nonpositive_integer_is_a_pole(self, b):
+        for pos in range(3):
+            lower = [1.0, 1.5, 2.0]
+            lower[pos] = b
+            with pytest.raises(PoleError):
+                hyp2f3(0.5, 0.5, *lower, -1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("pos", range(6))
+    def test_non_finite_input_raises_before_mpmath(self, monkeypatch, bad,
+                                                   pos):
+        def never(*args):
+            raise AssertionError("mpmath was called")
+
+        monkeypatch.setattr(mp, "hyp2f3", never)
+        args = [0.6, 1.1, 1.0, 1.3, 1.8, -100.0]
+        args[pos] = bad
+        with pytest.raises(DomainError):
+            hyp2f3(*args)
+
+    @pytest.mark.parametrize("z, kind", [
+        (-(2.0 ** 19 - 2.0 ** -30), tuple), (-(2.0 ** 19), mp.mpf),
+        (-(2.0 ** 22), mp.mpf)], ids=["below", "at", "beyond"])
+    def test_exact_rationals_only_below_the_asymptotic_switch(
+            self, monkeypatch, z, kind):
+        # Below |z| = 2^19 mpmath only sums the series, which is fastest on
+        # exact (p, q) parameters; from there on its asymptotic expansion
+        # is tried, which is faster on mpf ones.
+        seen = []
+        original = mp.hyp2f3
+
+        def recorded(*args, **kwargs):
+            seen.extend(type(a) for a in args[:5])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(mp, "hyp2f3", recorded)
+        hyp2f3(0.6, 1.1, 1.0, 1.3, 1.8, z)
+        assert seen == [kind] * 5
+
+    @pytest.mark.parametrize("w", [0.01, 20.0, 200.0, 1000.0, 1448.0])
+    @pytest.mark.parametrize("nu", [0.0, 2.5, 7.3])
+    def test_same_bits_as_mpf_parameters(self, w, nu):
+        # Exact rationals are the same numbers mpmath sums as mpf, so the
+        # 256-bit value must not move by a single bit.
+        for a, b in ((0.2, 0.4), (-0.9, 1.5)):
+            with mp.workprec(192):
+                am, bm, n, wm = (mp.mpf(v) for v in (a, b, nu, w))
+                args = ((am + n + 1) / 2, (am + n + 2) / 2, n + 1,
+                        (am + bm + n + 2) / 2, (am + bm + n + 3) / 2,
+                        -(wm * wm) / 4)
+            assert abs(args[-1]) < 2 ** 19
+            with mp.workprec(256):
+                want = mp.hyp2f3(*args)
+            assert hyp2f3(*args).value == want, (w, nu, a, b)
