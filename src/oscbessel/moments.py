@@ -265,10 +265,10 @@ def _superalgebraic(exponent: float) -> bool:
     return exponent % 2.0 == 1.0
 
 
-def _smooth_jet(spec: ProblemSpec, order: int, right: bool) -> np.ndarray:
-    """Jet of W over its envelope at one end: of W / theta^(lam-1) at
-    theta = 0, or at theta = pi/2 (``right``), in u = theta - pi/2, of
-    W / (-u)^(mu-1).
+def _smooth_jet(spec: ProblemSpec, right: bool) -> np.ndarray:
+    """Jet of W over its envelope at one end, through order _END_TERMS: of
+    W / theta^(lam-1) at theta = 0, or at theta = pi/2 (``right``), in
+    u = theta - pi/2, of W / (-u)^(mu-1).
 
     W = (w/2)^nu sin^(2a+2nu+1) cos^(2b+1) g(w^2 sin^4 theta), where
     g(s) = sum_p (-s/4)^p / (p! Gamma(nu+p+1)) is the entire part of the
@@ -278,19 +278,19 @@ def _smooth_jet(spec: ProblemSpec, order: int, right: bool) -> np.ndarray:
     and cos powers swap, and s = w^2 cos^4 u is taken about w^2.
     """
     a, b, nu, w = spec.alpha, spec.beta, spec.nu, spec.omega
-    sinc, cos = _SIN[1: order + 2], _COS[: order + 1]
+    sinc, cos = _SIN[1:], _COS[:-1]
     sinc_power, cos_power = 2.0 * a + 2.0 * nu + 1.0, 2.0 * b + 1.0
     if right:
         sinc_power, cos_power = cos_power, sinc_power
     base = jet_mul(jet_pow(sinc, sinc_power), jet_pow(cos, cos_power))
-    sin = cos if right else _SIN[: order + 1]      # sin theta, locally
+    sin = cos if right else _SIN[:-1]      # sin theta, locally
     s = jet_mul(jet_mul(jet_mul(sin, sin), sin), sin) * (w * w)
     s[0] = 0.0                      # the deviation from the center, 0 or w^2
-    outer = bessel_entire_jet(nu, w if right else 0.0, order)
+    outer = bessel_entire_jet(nu, w if right else 0.0, _END_TERMS)
     return jet_mul(base, jet_compose(s, outer)) * (w / 2.0) ** nu
 
 
-def _endpoint_jets(spec: ProblemSpec, order: int):
+def _endpoint_jets(spec: ProblemSpec):
     """((lam, left jet), (mu, right jet)) with lam = 2 alpha + 2 nu + 2 and
     mu = 2 beta + 2: each end's exponent and the jet of W over its
     envelope, which do not depend on the moment index j.  The jet of a
@@ -298,9 +298,9 @@ def _endpoint_jets(spec: ProblemSpec, order: int):
     lam = 2.0 * spec.alpha + 2.0 * spec.nu + 2.0
     mu = 2.0 * spec.beta + 2.0
     return ((lam, None if _superalgebraic(lam)
-             else _smooth_jet(spec, order, right=False)),
+             else _smooth_jet(spec, right=False)),
             (mu, None if _superalgebraic(mu)
-             else _smooth_jet(spec, order, right=True)))
+             else _smooth_jet(spec, right=True)))
 
 
 def _end_series(exponent: float, jet, r: float):
@@ -399,15 +399,14 @@ def end_moment_asymptotic(spec: ProblemSpec, j: int, jets=None,
 
     Raises AccuracyError when err_est exceeds both 1e-8 |value| and
     ``abs_tol``; moment_table passes 1e-16 max|M(0..5)|, the residual
-    audit's floor.  ``jets`` may pass in ``_endpoint_jets(spec,
-    _END_TERMS)``, built once for several j; by default they are built
-    here.
+    audit's floor.  ``jets`` may pass in ``_endpoint_jets(spec)``, built
+    once for several j; by default they are built here.
     """
     j = as_size(j, 0, "j")
     if j < max(50.0, 2.0 * spec.omega):
         raise DomainError(
             f"asymptotic end moment needs j >= max(50, 2 omega), got {j}")
-    (lam, left), (mu, right) = jets or _endpoint_jets(spec, _END_TERMS)
+    (lam, left), (mu, right) = jets or _endpoint_jets(spec)
     r = 2.0 * float(j)
     left_sum, left_err = _end_series(lam, left, r)
     right_sum, right_err = _end_series(mu, right, r)
@@ -469,7 +468,7 @@ class BandedSystem:
         return rh, np.abs(th).max(axis=0)
 
     def solve(self):
-        """(hi, lo, err) arrays of the unknowns.
+        """(hi, err): the hi parts of the unknowns and their err_est.
 
         The hi parts of the coefficients are factored once by LAPACK's
         banded LU with partial pivoting.  Each step forms the residual in
@@ -518,7 +517,7 @@ class BandedSystem:
         rhs[:, -1] = 2.0 ** -100 * scale
         sens = np.abs(dgbtrs(lu, _KL, _KU, rhs, piv)[0])
         err = sens[:, :-1] @ self.known[2][qs] + sens[:, -1] + np.abs(delta)
-        return vh[unknown], vl[unknown], err
+        return vh[unknown], err
 
 
 def _recurrence_system(spec: ProblemSpec, k_switch: int, k_hi: int,
@@ -598,7 +597,7 @@ def moment_table(spec: ProblemSpec, N: int) -> MomentTable:
         # expansion is trustworthy, and further while it still stalls; the
         # surplus entries are simply discarded.
         k_hi = max(N, int(math.ceil(max(50.0, 2.0 * spec.omega))))
-        jets = _endpoint_jets(spec, _END_TERMS)
+        jets = _endpoint_jets(spec)
         abs_tol = 1e-16 * np.abs(vals).max()
         for push in range(_MAX_PUSH + 1):
             try:
@@ -613,7 +612,7 @@ def moment_table(spec: ProblemSpec, N: int) -> MomentTable:
         boundary.update((k_hi + 1 + i, (v, 0.0, e))
                         for i, (v, e) in enumerate(ends))
     system = _recurrence_system(spec, k_switch, k_hi, boundary)
-    hi, _, err = system.solve()
+    hi, err = system.solve()
     vals = np.concatenate([vals, hi[: N - 5]])
     errs = np.concatenate([errs, err[: N - 5]])
     meth = (("closed-form",) * 6 + ("forward",) * (k_switch - 5)

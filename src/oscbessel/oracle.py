@@ -1,7 +1,7 @@
 """Independent reference integrator for the Bessel transform and its moments.
 
-Ground truth for everything else in the package: panels split at the
-kernel's sign changes, adaptive Gauss-Kronrod inside, tanh-sinh at the
+Ground truth for everything else in the package: panels a half-period
+pi/w of the kernel apart, adaptive Gauss-Kronrod inside, tanh-sinh at the
 singular endpoints, final summation correctly rounded (``math.fsum``).
 Nodes are evaluated as numpy arrays and J_nu comes from
 ``scipy.special.jv``.  This module deliberately knows nothing about the
@@ -139,67 +139,36 @@ def _ts_raw_nodes(level: int):
     return out
 
 
-def _ts_levels(length, gamma):
-    """Yield (h, u, weight) per tanh-sinh level for int_0^length u^gamma psi(u).
+def _tanh_sinh(sums, length, gamma, rel_tol):
+    """(total, err, mass) of int_0^length u^gamma psi(u) du, singularity
+    (if any) at u = 0.
 
-    u is the distance from the singular endpoint (computed without
+    ``sums(u, weight)`` returns (sum weight * psi, sum |weight * psi|) over
+    one level's nodes; the first may be an array, e.g. one entry per k.  u
+    is the distance from the singular endpoint (computed without
     cancellation); weight holds u^gamma times the jacobian, formed in log
-    space so exponents near -1 cannot underflow.  Nodes whose weight is
-    below e^-745 are dropped.
+    space so exponents near -1 cannot underflow, and nodes whose weight is
+    below e^-745 are dropped.  mass accumulates h * sum |weight * psi| over
+    the levels like the total.  From level 3 on, the levels stop once every
+    total moves by at most rel_tol times the mass: the mass, unlike a total
+    that nearly cancels, stays above rounding noise.  err is the last move.
     """
     log_len = math.log(length)
+    total = prev = mass = 0.0
     for level in range(_TS_MAX_LEVEL + 1):
         sig, ls, lj = _ts_raw_nodes(level)
         logfac = gamma * (log_len + ls) + log_len + lj
         keep = logfac >= -745.0
-        yield _TS_H0 / 2**level, length * sig[keep], np.exp(logfac[keep])
-
-
-def _tanh_sinh(psi, length, gamma, rel_tol):
-    """integral_0^length u^gamma psi(u) du, singularity (if any) at u = 0;
-    stops once a level changes it by <= rel_tol of the level's mass."""
-    total = prev = mass = 0.0
-    for level, (h, u, weight) in enumerate(_ts_levels(length, gamma)):
-        v = psi(u)
-        total = (0.5 * total if level else 0.0) + h * float(weight @ v)
-        mass = (0.5 * mass if level else 0.0) + h * float(weight @ np.abs(v))
+        part, part_mass = sums(length * sig[keep], np.exp(logfac[keep]))
+        h, scale = _TS_H0 / 2**level, 0.5 if level else 0.0
+        total = scale * total + h * part
+        mass = scale * mass + h * part_mass
         if level >= 2:
-            err = abs(total - prev)
-            if err <= rel_tol * mass:
+            err = np.abs(total - prev)
+            if level >= 3 and np.all(err <= rel_tol * mass):
                 break
         prev = total
-    return total, err
-
-
-# ---------------------------------------------------------------------------
-# Bessel zero bracketing (panel boundaries only; roughness is fine)
-# ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=256)
-def _bessel_zeros(nu: float, xmax: float):
-    """Approximate positive zeros of J_nu below xmax (McMahon + bisection)."""
-    mu = 4.0 * nu * nu
-    # McMahon's guesses grow with s; the last one here, with b > xmax + 21,
-    # lies past xmax for every nu >= 0
-    b = (np.arange(1, int(xmax / math.pi) + 9) + 0.5 * nu - 0.25) * math.pi
-    z = b - (mu - 1) / (8 * b) - 4 * (mu - 1) * (7 * mu - 31) / (3 * (8 * b) ** 3)
-    z = z[: np.argmax(z >= xmax)]
-    lo, hi = z - 0.4, z + 0.4
-    ok = lo > 0
-    ok[ok] = jv(nu, lo[ok]) * jv(nu, hi[ok]) < 0
-    lo, hi = lo[ok], hi[ok]
-    flo = jv(nu, lo)
-    for _ in range(12):
-        mid = 0.5 * (lo + hi)
-        fm = jv(nu, mid)
-        left = flo * fm <= 0
-        hi = np.where(left, mid, hi)
-        lo = np.where(left, lo, mid)
-        flo = np.where(left, flo, fm)
-    z[ok] = 0.5 * (lo + hi)
-    z = z[(z > 0.0) & (z < xmax)]
-    z.setflags(write=False)
-    return z
+    return total, err, mass
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +180,7 @@ def reference_integral(spec: ProblemSpec, cfg: OracleConfig | None = None,
     """(value, err_est) for int_0^1 x^a (1-x)^b f(x) J_nu(w x) dx.
 
     Extra breakpoints (e.g. integrand kinks) may be supplied; they are
-    merged into the oscillation-aligned panel grid.  ``f`` is called one
+    merged into the grid of panels pi/w apart.  ``f`` is called one
     Python float at a time, once per node; the rest of the integrand is
     evaluated on arrays of nodes.
     """
@@ -226,19 +195,24 @@ def reference_integral(spec: ProblemSpec, cfg: OracleConfig | None = None,
         fx = np.fromiter(map(f, x.ravel().tolist()), float, x.size)
         return fx.reshape(x.shape) * jv(nu, w * x)
 
+    # edges pi/w apart, the half-period of J_nu(w x) at large w x; an edge
+    # that rounds to 1.0 would leave an empty end panel
+    edges = np.arange(1, math.ceil(w / math.pi)) * (math.pi / w)
     extra = [float(p) for p in breakpoints if 0.0 < float(p) < 1.0]
-    pts = np.union1d(_bessel_zeros(nu, w) / w, extra)
+    pts = np.union1d(edges[edges < 1.0], extra)
     if pts.size == 0:
         pts = np.array([0.5])
     grid = np.concatenate([[0.0], pts, [1.0]])
 
+    def end(psi, length, gamma):
+        def sums(u, weight):
+            v = psi(u)
+            return float(weight @ v), float(weight @ np.abs(v))
+        return _tanh_sinh(sums, length, gamma, 0.1 * cfg.rel_tol)[:2]
+
     # ends: u = x on the left, u = 1 - x on the right
-    ends = [
-        _tanh_sinh(lambda u: (1.0 - u) ** b * kernel(u), grid[1], a,
-                   0.1 * cfg.rel_tol),
-        _tanh_sinh(lambda u: (1.0 - u) ** a * kernel(1.0 - u),
-                   1.0 - grid[-2], b, 0.1 * cfg.rel_tol),
-    ]
+    ends = [end(lambda u: (1.0 - u) ** b * kernel(u), grid[1], a),
+            end(lambda u: (1.0 - u) ** a * kernel(1.0 - u), 1.0 - grid[-2], b)]
 
     def integrand(x):
         return x**a * (1.0 - x) ** b * kernel(x)
@@ -283,12 +257,10 @@ def _moment_theta(spec, ks, cfg):
     with W = sin^(2a+1) cos^(2b+1) J_nu(w sin^2 theta).  All requested k
     share one panel grid and one set of W evaluations.
 
-    Each end panel refines its tanh-sinh levels until, for every k, the
-    change of the panel's total is at most 0.1 rel_tol times the level's
-    mass h * sum |weight * psi|, accumulated over the levels like the
-    totals.  The mass, unlike a total that nearly cancels, stays above
-    rounding noise.  Every err_est includes _ROUNDOFF times the integral
-    of |W|, ends and interior, which bounds |W cos(2 k theta)| for each k.
+    Each end panel is one _tanh_sinh run at 0.1 rel_tol with one total per
+    k, so it stops once every k's total has settled.  Every err_est
+    includes _ROUNDOFF times the integral of |W|, ends and interior, which
+    bounds |W cos(2 k theta)| for each k.
     """
     cfg = cfg or OracleConfig()
     ks = np.array(sorted({as_size(k, 0, "k") for k in ks}), dtype=int)
@@ -311,22 +283,14 @@ def _moment_theta(spec, ks, cfg):
               np.where(ks % 2 == 0, 1.0, -1.0)))
     end_totals, end_errs, masses = [], [], []
     for length, g_end, g_far, sin_theta, sign in sides:
-        totals = prev = np.zeros(ks.size)
-        mass = 0.0
-        for level, (h, u, weight) in enumerate(_ts_levels(length, g_end)):
+        def sums(u, weight):
             wv = weight * (np.sinc(u / math.pi) ** g_end * np.cos(u) ** g_far
                            * jv(nu, w * sin_theta(u) ** 2))
             part = np.empty(ks.size)
             for sl, c in _cos_blocks(ks, u):
                 part[sl] = c @ wv
-            scale = 0.5 if level else 0.0
-            totals = scale * totals + h * part
-            mass = scale * mass + h * float(np.abs(wv).sum())
-            if level >= 2:
-                err = np.abs(totals - prev)
-                if level >= 3 and np.all(err <= 0.1 * cfg.rel_tol * mass):
-                    break
-            prev = totals
+            return part, float(np.abs(wv).sum())
+        totals, err, mass = _tanh_sinh(sums, length, g_end, 0.1 * cfg.rel_tol)
         end_totals.append(sign * totals)
         end_errs.append(err)
         masses.append(mass)

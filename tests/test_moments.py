@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from oscbessel import moments
 from oscbessel.errors import AccuracyError, DomainError, SingularSystemError
-from oscbessel.moments import (_MAX_PUSH, _OFFSETS, _SHIFTED_CHEB,
-                               MomentTable, _endpoint_jets,
+from oscbessel.moments import (_END_TERMS, _MAX_PUSH, _OFFSETS,
+                               _SHIFTED_CHEB, MomentTable, _endpoint_jets,
                                _row_coefficients, _starting_mpf,
                                _strip_bound, end_moment_asymptotic,
                                moment_table, power_moment,
@@ -443,7 +443,7 @@ class TestEndMomentAsymptotic:
         # W / (-u)^(mu-1) at u = theta - pi/2 = 0, differentiated by mpmath
         # at 100 digits.
         spec = ProblemSpec(*kernel)
-        (lam, left), (mu, right) = _endpoint_jets(spec, 12)
+        (lam, left), (mu, right) = _endpoint_jets(spec)
         assert lam == 2 * spec.alpha + 2 * spec.nu + 2
         assert mu == 2 * spec.beta + 2
         a, b, nu, w = map(mp.mpf, kernel)
@@ -464,8 +464,8 @@ class TestEndMomentAsymptotic:
                 assert got is None
                 continue
             with mp.workdps(100):
-                want = np.array([float(c)
-                                 for c in mp.taylor(companion, 0, 12)])
+                want = np.array([float(c) for c in
+                                 mp.taylor(companion, 0, _END_TERMS)])
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(
                 np.abs(want)), (kernel, exponent)
 

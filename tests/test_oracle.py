@@ -5,13 +5,11 @@ import time
 import numpy as np
 import pytest
 
-from scipy.special import jn_zeros
-
 from oscbessel.errors import DomainError
 from oscbessel.moments import moment_table, power_moment
 from oscbessel.oracle import (_GK_NODES, _GK_WGAUSS, _GK_WK, OracleConfig,
-                              _bessel_zeros, reference_integral,
-                              reference_moment, reference_moments)
+                              reference_integral, reference_moment,
+                              reference_moments)
 from oscbessel.problem import ProblemSpec
 
 
@@ -59,15 +57,6 @@ def test_config_rejects_unusable_tolerance(rel_tol):
         OracleConfig(rel_tol=rel_tol)
 
 
-def test_bessel_zeros_match_scipy():
-    # 12 bisection steps on a bracket of width 0.8
-    for nu in (0, 1, 5):
-        got = _bessel_zeros(float(nu), 200.0)
-        want = jn_zeros(nu, len(got))
-        assert want[-1] < 200.0 < jn_zeros(nu, len(got) + 1)[-1]
-        assert np.abs(got - want).max() <= 0.8 / 2**12
-
-
 def tstar(k):
     """T_k*(x) = cos(k arccos(2x - 1)), clamped so it is stable on [0, 1]."""
     return lambda x: math.cos(
@@ -90,12 +79,26 @@ class TestReferenceMoment:
         i0, _ = reference_integral(spec.with_integrand(lambda x: 1.0))
         assert abs(m0 - i0) <= 1e-12 * abs(i0)
 
-    def test_x_and_theta_paths_agree(self):
-        # The theta form against the x-domain integral of T_17*.
-        spec = ProblemSpec(0.2, 0.4, 0.0, 20.0)
-        vx, _ = reference_integral(spec, f=tstar(17))
-        vt, _ = reference_moment(spec, 17)
+    @pytest.mark.parametrize("kernel, k", [
+        ((0.2, 0.4, 0.0, 20.0), 17),
+        ((0.2, 0.4, 12.0, 50.0), 17),
+        ((-0.5, 0.3, 20.0, 500.0), 40),
+        ((1.5, -0.9, 7.0, 200.0), 33),
+        # Here the last panel edge (ceil(w/pi) - 1) pi/w rounds to 1.0,
+        # which must not leave an empty end panel.
+        ((0.2, 0.4, 0.0, 47.1238898038469), 17),
+        ((0.2, 0.4, 2.5, 84.82300164692442), 9),
+        # w < pi: no edge inside (0, 1), so the grid splits at 0.5.
+        ((0.2, 0.4, 0.0, 0.5), 3)],
+        ids=["w20-T17", "nu12-w50-T17", "nu20-w500-T40", "nu7-w200-T33",
+             "w47.12-T17", "w84.82-T9", "w0.5-T3"])
+    def test_x_and_theta_paths_agree(self, kernel, k):
+        # The theta form against the x-domain integral of T_k*.
+        spec = ProblemSpec(*kernel)
+        vx, ex = reference_integral(spec, f=tstar(k))
+        vt, et = reference_moment(spec, k)
         assert abs(vx - vt) <= 1e-10 * abs(vx)
+        assert abs(vx - vt) <= ex + et
 
     def test_single_is_the_batch_entry(self):
         spec = ProblemSpec(0.2, 0.4, 0.0, 20.0)
