@@ -4,8 +4,7 @@ algebraic endpoint singularities: I[f] = int_0^1 x^a (1-x)^b f(x) J_nu(w x) dx.
 
 from .ccf import (ConvergenceRecord, QuadratureResult, ccf_integrate,
                   clear_moment_cache, convergence_study, fit_rate)
-from .chebfit import (ChebyshevExpansion, cc_points, cheb_eval,
-                      cheb_interp_coeffs)
+from .chebfit import ChebyshevExpansion, cc_points, cheb_interp_coeffs
 from .errors import (AccuracyError, ConvergenceError, DomainError,
                      OscBesselError, PoleError, SingularSystemError)
 from .moments import (MomentTable, end_moment_asymptotic, moment_table,
@@ -22,7 +21,7 @@ __all__ = [
     "ProblemSpec",
     "QuadratureResult", "ConvergenceRecord", "ccf_integrate",
     "convergence_study", "fit_rate", "clear_moment_cache",
-    "ChebyshevExpansion", "cc_points", "cheb_interp_coeffs", "cheb_eval",
+    "ChebyshevExpansion", "cc_points", "cheb_interp_coeffs",
     "MomentTable", "moment_table", "power_moment",
     "end_moment_asymptotic",
     "recurrence_coefficients", "recurrence_residual",

@@ -6,15 +6,16 @@ every N.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
 from numpy.polynomial.chebyshev import chebval
 
 from .errors import DomainError
+from .problem import as_size
 
-__all__ = ["ChebyshevExpansion", "cc_points", "cheb_interp_coeffs", "cheb_eval"]
+__all__ = ["ChebyshevExpansion", "cc_points", "cheb_interp_coeffs"]
 
 
 @dataclass(frozen=True)
@@ -22,15 +23,17 @@ class ChebyshevExpansion:
     """Coefficients b of P(x) = sum_i b[i] T_i*(x) on [0, 1]."""
 
     coefficients: np.ndarray
-    N: int = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "coefficients",
                            np.asarray(self.coefficients, dtype=float))
-        object.__setattr__(self, "N", len(self.coefficients) - 1)
 
     def __call__(self, x: float) -> float:
-        return cheb_eval(self, x)
+        """sum b_i T_i*(x) = sum b_i T_i(2x - 1), 0 <= x <= 1, by numpy's
+        Clenshaw recurrence."""
+        if not 0.0 <= x <= 1.0:
+            raise DomainError(f"x={x} outside [0, 1]")
+        return float(chebval(2.0 * x - 1.0, self.coefficients))
 
 
 def cc_points(N: int) -> np.ndarray:
@@ -38,8 +41,7 @@ def cc_points(N: int) -> np.ndarray:
 
     Descending from 1 to 0, symmetric about 1/2.
     """
-    if N < 1:
-        raise DomainError("N must be >= 1")
+    N = as_size(N, 1)
     return 0.5 + 0.5 * np.cos(np.arange(N + 1) * np.pi / N)
 
 
@@ -58,10 +60,3 @@ def cheb_interp_coeffs(samples) -> ChebyshevExpansion:
     b[-1] *= 0.5
     return ChebyshevExpansion(b)
 
-
-def cheb_eval(expansion: ChebyshevExpansion, x: float) -> float:
-    """sum b_i T_i*(x) = sum b_i T_i(2x - 1), 0 <= x <= 1, by numpy's
-    Clenshaw recurrence."""
-    if not 0.0 <= x <= 1.0:
-        raise DomainError(f"x={x} outside [0, 1]")
-    return float(chebval(2.0 * x - 1.0, expansion.coefficients))

@@ -37,7 +37,6 @@ from .specfun import (ExtendedReal, bessel_entire_jet, hyp2f3, jet_compose,
                       jet_mul, jet_pow)
 
 __all__ = [
-    "ProblemSpec",
     "MomentTable",
     "BandedSystem",
     "recurrence_coefficients",

@@ -84,14 +84,15 @@ def _gk15(f, lo, hi):
     return half * (vals @ _GK_WK), np.abs(half * (vals @ (_GK_WK - _GK_WGAUSS)))
 
 
-def _gk_adaptive(f, lo, hi, val, err, abs_tol, budget):
+def _gk_adaptive(f, lo, hi, val, err, abs_tol):
     """Bisect every panel whose GK15 error exceeds its tolerance.
 
     (val, err) are the GK15 results on [lo, hi]; a child panel gets half its
-    parent's tolerance.  Refinement stops at depth 40 or once ``budget``
-    panel evaluations are spent.  Returns the values and errors of the
-    accepted panels.
+    parent's tolerance.  Refinement stops at depth 40 or once the bisections
+    have spent ``_MAX_PANELS`` panel evaluations.  Returns the values and
+    errors of the accepted panels.
     """
+    budget = _MAX_PANELS
     vals, errs = [], []
     for _ in range(40):
         bad = err > abs_tol
@@ -223,8 +224,7 @@ def reference_integral(spec: ProblemSpec, cfg: OracleConfig | None = None,
     scale = max(sum(abs(v) for v, _ in ends) + float(np.abs(val).sum()),
                 1e-300)
     abs_tol = cfg.rel_tol * scale / max(1, lo.size)
-    val, err = _gk_adaptive(integrand, lo, hi, val, err, abs_tol,
-                            _MAX_PANELS)
+    val, err = _gk_adaptive(integrand, lo, hi, val, err, abs_tol)
 
     value = math.fsum([v for v, _ in ends] + val.tolist())
     err_est = sum(e for _, e in ends) + float(err.sum()) + _ROUNDOFF * scale

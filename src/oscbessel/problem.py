@@ -42,9 +42,6 @@ class ProblemSpec:
             # coefficient omega^2/16 vanishes).
             raise DomainError(f"omega must be > 0, got {self.omega}")
 
-    def with_integrand(self, f) -> "ProblemSpec":
-        return ProblemSpec(self.alpha, self.beta, self.nu, self.omega, f)
-
     def moment_key(self):
         """Hashable identity of the f-independent part."""
         return (self.alpha, self.beta, self.nu, self.omega)

@@ -4,7 +4,7 @@ The Taylor jet of the entire part of Bessel J of real order and the
 generalized hypergeometric series 2F3.  Bessel J, 1/Gamma and 2F3 come
 from mpmath at fixed working precisions; there is no hand-written series.
 Below |z| = 2^19, where mpmath only sums the 2F3 series, its parameters go
-in as exact rationals (the mpf's own mantissa and exponent), which mpmath
+in as exact rationals (mpmath's own ``to_rational`` of the mpf), which mpmath
 sums in integer arithmetic; from there on they stay mpf for its
 asymptotic expansion.
 The jet's Bessel orders nu..nu+order follow from two mpmath values by the
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
-from mpmath.libmp import NoConvergence
+from mpmath.libmp import NoConvergence, to_rational
 
 from .errors import ConvergenceError, DomainError, PoleError
 
@@ -132,14 +132,6 @@ def bessel_entire_jet(nu: float, w: float, order: int) -> np.ndarray:
 # Generalized hypergeometric 2F3
 # ---------------------------------------------------------------------------
 
-def _ratio(x: mp.mpf) -> tuple[int, int]:
-    """(p, q) with p/q exactly x, from the mpf's own sign, mantissa and
-    exponent (mpf.man_exp drops the sign)."""
-    sign, man, exp, _ = x._mpf_
-    man = -man if sign else man
-    return (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
-
-
 #: Working precision (bits) of the 2F3.
 _HYP_PREC = 256
 
@@ -166,7 +158,7 @@ def hyp2f3(a1, a2, b1, b2, b3, z) -> ExtendedReal:
     if not all(mp.isfinite(v) for v in args):
         raise DomainError(f"2F3 needs finite input, got {args}")
     *params, z = args
-    ratios = [_ratio(v) for v in params]
+    ratios = [to_rational(v._mpf_) for v in params]
     for b, (p, q) in zip(params[2:], ratios[2:]):
         if q == 1 and p <= 0:
             raise PoleError(f"lower parameter {b} is a nonpositive integer")

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -69,6 +71,15 @@ class TestCcfIntegrate:
         with pytest.raises(DomainError):
             ccf_integrate(spec, 8)
 
+    def test_overflowing_sum_rejected_without_warning(self):
+        # Every sample is finite, but the coefficient sum overflows.
+        spec = ProblemSpec(0.2, 0.4, 0.0, 20.0, integrand=lambda x: 1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError,
+                               match="quadrature value is not finite"):
+                ccf_integrate(spec, 8)
+
     def test_preconditions(self):
         spec = ProblemSpec(0.2, 0.4, 0.0, 20.0, integrand=math.exp)
         with pytest.raises(DomainError):
@@ -96,8 +107,8 @@ class TestPolynomialExactness:
         table = moment_table(base, 12)
         scale = np.max(np.abs(table.values))
         for d in (0, 4, 10):
-            spec = base.with_integrand(
-                ChebyshevExpansion([0.0] * d + [1.0]))
+            spec = dataclasses.replace(
+                base, integrand=ChebyshevExpansion([0.0] * d + [1.0]))
             q = ccf_integrate(spec, 12)
             # Q equals the exact-coefficient contraction ...
             assert abs(q.value - table.values[d]) <= 1e-12 * scale

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from oscbessel.chebfit import (ChebyshevExpansion, cc_points, cheb_eval,
-                               cheb_interp_coeffs)
+from oscbessel.chebfit import ChebyshevExpansion, cc_points, cheb_interp_coeffs
 from oscbessel.errors import DomainError
 
 
@@ -20,6 +19,15 @@ class TestCCPoints:
     def test_rejects_zero(self):
         with pytest.raises(DomainError):
             cc_points(0)
+
+    @pytest.mark.parametrize("N", [2.5, 4.0, np.float64(4)])
+    def test_rejects_non_integral_n(self, N):
+        # A size must be integral: N = 2.5 would put one node in twice.
+        with pytest.raises(DomainError, match="N must be an integer"):
+            cc_points(N)
+
+    def test_numpy_integer_n_accepted(self):
+        assert np.array_equal(cc_points(np.int64(4)), cc_points(4))
 
 
 class TestInterpCoeffs:
@@ -99,16 +107,16 @@ class TestChebEval:
     def test_constant_expansion(self):
         exp = ChebyshevExpansion([1.0, 0.0, 0.0])
         for x in (0.0, 0.25, 1.0):
-            assert cheb_eval(exp, x) == pytest.approx(1.0)
+            assert exp(x) == pytest.approx(1.0)
 
     def test_t1_endpoints(self):
         exp = ChebyshevExpansion([0.0, 1.0])
-        assert cheb_eval(exp, 1.0) == pytest.approx(1.0)
-        assert cheb_eval(exp, 0.0) == pytest.approx(-1.0)
+        assert exp(1.0) == pytest.approx(1.0)
+        assert exp(0.0) == pytest.approx(-1.0)
 
     def test_domain_check(self):
         exp = ChebyshevExpansion([1.0, 1.0])
         with pytest.raises(DomainError):
-            cheb_eval(exp, 1.5)
+            exp(1.5)
         with pytest.raises(DomainError):
-            cheb_eval(exp, -0.1)
+            exp(-0.1)

@@ -115,6 +115,41 @@ class TestExitCodes:
         assert code == 1
         assert "usage error: --tol" in err and out == ""
 
+    KERNEL = ["--alpha", "0.2", "--beta", "0.4", "--nu", "0", "--omega", "20"]
+
+    @pytest.mark.parametrize("N, message", [
+        ("16:8:dyadic", "--N: need 1 <= lo <= hi"),
+        ("x:16:dyadic", "--N: bad bounds"),
+        ("8,x", "--N: not an integer list"),
+        ("0", "--N: values must be >= 1"),
+    ])
+    def test_bad_n_is_1(self, capsys, N, message):
+        code, out, err = run(["moments", *self.KERNEL, "--N", N], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith(f"usage error: {message}")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["integrate", "--f", "smooth_exp", "--N", "8,16"],
+         "--N: integrate takes a single N"),
+        (["study", "--f", "smooth_exp", "--N", "8"],
+         "--N: study needs a range or list"),
+    ])
+    def test_wrong_number_of_n_is_1(self, capsys, argv, message):
+        code, out, err = run([argv[0], *self.KERNEL, *argv[1:]], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith(f"usage error: {message}")
+
+    @pytest.mark.parametrize("spec, message", [
+        ("abs_pow:c", "malformed parameter 'c'"),
+        ("cheb_poly", "cheb_poly needs at least one coefficient"),
+        ("user", "user integrand needs path="),
+    ])
+    def test_bad_integrand_is_1(self, capsys, spec, message):
+        code, out, err = run(
+            ["integrate", *self.KERNEL, "--f", spec, "--N", "8"], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith(f"usage error: --f: {message}")
+
     def test_non_finite_reference_is_2(self, capsys):
         code, out, err = run(
             ["study", "--alpha", "0.2", "--beta", "0.4", "--nu", "0",
@@ -211,6 +246,24 @@ class TestStudyCommand:
         assert lines[0] == "N,approx,reference,abs_err,scaled_err"
         assert len(lines) == 5
         assert "rate" in err
+
+    ARGS = ["study", "--alpha", "0.2", "--beta", "0.4", "--nu", "0",
+            "--omega", "20", "--f", "abs_pow:c=0.5,k=1", "--N", "8:128:dyadic",
+            "--reference", "0.0068"]
+
+    def test_window_changes_the_rate(self, capsys):
+        code, out_default, err_default = run(self.ARGS, capsys)
+        assert code == 0
+        code, out, err = run(self.ARGS + ["--window", "0:3"], capsys)
+        assert code == 0
+        assert out == out_default
+        assert err.startswith("rate ") and err_default.startswith("rate ")
+        assert err != err_default
+
+    def test_malformed_window_is_1(self, capsys):
+        code, out, err = run(self.ARGS + ["--window", "3"], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("usage error: --window")
 
     def test_supplied_reference(self, capsys):
         code, out, _ = run(

@@ -771,6 +771,18 @@ class TestMomentTable:
         moment_table(ProblemSpec(0.2, 0.4, 0.0, 20.0), 256)
         assert len(calls) == 4
 
+    def test_zero_pivot_raises_singular_system(self, monkeypatch):
+        # With every recurrence coefficient zero, LAPACK's banded LU meets
+        # a zero pivot in the first column.
+        def zero_rows(spec, m):
+            zeros = np.zeros((len(_OFFSETS), len(m)))
+            return zeros, zeros
+
+        monkeypatch.setattr(moments, "_row_coefficients", zero_rows)
+        with pytest.raises(SingularSystemError) as info:
+            moment_table(ProblemSpec(0.2, 0.4, 0.0, 20.0), 64)
+        assert info.value.row == 0
+
     def test_negative_index_symmetry(self):
         table = moment_table(ProblemSpec(0.2, 0.4, 0.0, 20.0), 16)
         assert table[-3] == table[3]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import pathlib
 import time
@@ -5,7 +6,8 @@ import time
 import numpy as np
 import pytest
 
-from oscbessel.errors import DomainError
+from oscbessel import oracle
+from oscbessel.errors import AccuracyError, DomainError
 from oscbessel.moments import moment_table, power_moment
 from oscbessel.oracle import (_GK_NODES, _GK_WGAUSS, _GK_WK, OracleConfig,
                               reference_integral, reference_moment,
@@ -40,6 +42,29 @@ class TestReferenceIntegral:
         loose, est = reference_integral(spec, OracleConfig(rel_tol=1e-10))
         tight, _ = reference_integral(spec, OracleConfig(rel_tol=1e-11))
         assert abs(loose - tight) < max(est, 1e-14 * abs(tight))
+
+    def test_spent_budget_raises_accuracy_error(self, monkeypatch):
+        # Without bisections the panel holding the unlisted kink at 0.37
+        # keeps its GK15 error, far above 100 rel_tol of the scale.
+        monkeypatch.setattr(oracle, "_MAX_PANELS", 0)
+        spec = ProblemSpec(0.2, 0.4, 0.0, 20.0)
+        with pytest.raises(AccuracyError) as info:
+            reference_integral(spec, OracleConfig(rel_tol=1e-13),
+                               f=lambda x: abs(x - 0.37))
+        assert info.value.err_est == pytest.approx(4.6e-6, rel=0.01)
+
+    def test_jump_without_breakpoint(self):
+        # The bisections find an unlisted jump within the default budget.
+        spec = ProblemSpec(0.2, 0.4, 0.0, 20.0)
+        cfg = OracleConfig(rel_tol=1e-13)
+        step = lambda x: 1.0 if x > 0.37 else 0.0
+        blind, e1 = reference_integral(spec, cfg, f=step)
+        told, e2 = reference_integral(spec, cfg, f=step, breakpoints=(0.37,))
+        assert abs(blind - told) <= e1 + e2
+
+    def test_no_integrand(self):
+        with pytest.raises(DomainError, match="no integrand"):
+            reference_integral(ProblemSpec(0.2, 0.4, 0.0, 20.0))
 
     def test_integrand_called_with_floats(self):
         seen = set()
@@ -76,7 +101,8 @@ class TestReferenceMoment:
     def test_k0_matches_integral(self):
         spec = ProblemSpec(0.2, 0.4, 0.0, 20.0)
         m0, _ = reference_moment(spec, 0)
-        i0, _ = reference_integral(spec.with_integrand(lambda x: 1.0))
+        i0, _ = reference_integral(
+            dataclasses.replace(spec, integrand=lambda x: 1.0))
         assert abs(m0 - i0) <= 1e-12 * abs(i0)
 
     @pytest.mark.parametrize("kernel, k", [
@@ -129,6 +155,18 @@ class TestReferenceMoment:
         for k in (30, 60):
             single, err = reference_moment(spec, k)
             assert abs(batch[k][0] - single) <= 1e-11 * abs(single) + 3 * err
+
+    def test_several_cos_blocks_agree_with_one(self, monkeypatch):
+        # Blocks change only the BLAS summation order, so the values move
+        # within err_est (7e-7 of it here), not bit for bit.
+        spec = ProblemSpec(0.2, 0.4, 0.0, 200.0)
+        cfg = OracleConfig(rel_tol=1e-13)
+        ks = range(0, 295, 7)
+        one = reference_moments(spec, ks, cfg)
+        monkeypatch.setattr(oracle, "_COS_BLOCK", 5000)
+        many = reference_moments(spec, ks, cfg)
+        for k in ks:
+            assert abs(many[k][0] - one[k][0]) <= one[k][1], k
 
     def test_nearly_cancelling_end_panels(self):
         # Some of these k have end-panel totals that nearly cancel.  The
