@@ -8,8 +8,7 @@ from .chebfit import ChebyshevExpansion, cc_points, cheb_interp_coeffs
 from .errors import (AccuracyError, ConvergenceError, DomainError,
                      OscBesselError, PoleError, SingularSystemError)
 from .moments import (MomentTable, end_moment_asymptotic, moment_table,
-                      power_moment, recurrence_coefficients,
-                      recurrence_residual)
+                      power_moment, recurrence_residual)
 from .oracle import (OracleConfig, reference_integral, reference_moment,
                      reference_moments)
 from .problem import ProblemSpec
@@ -24,7 +23,7 @@ __all__ = [
     "ChebyshevExpansion", "cc_points", "cheb_interp_coeffs",
     "MomentTable", "moment_table", "power_moment",
     "end_moment_asymptotic",
-    "recurrence_coefficients", "recurrence_residual",
+    "recurrence_residual",
     "OracleConfig", "reference_integral", "reference_moment",
     "reference_moments",
     "hyp2f3",

@@ -15,11 +15,12 @@ import sys
 
 import numpy as np
 
+from . import criteria
 from .ccf import ccf_integrate, convergence_study, fit_rate
-from .chebfit import ChebyshevExpansion, cc_points, cheb_interp_coeffs
+from .chebfit import ChebyshevExpansion, cheb_interp_coeffs
 from .errors import DomainError, OscBesselError
-from .moments import moment_table, recurrence_residual
-from .oracle import OracleConfig, reference_integral, reference_moments
+from .moments import moment_table
+from .oracle import OracleConfig, reference_integral
 from .problem import ProblemSpec
 
 __all__ = ["parse_integrand", "parse_config", "execute", "emit_report",
@@ -248,48 +249,18 @@ def _run_study(ns: argparse.Namespace):
 
 
 def _validation_checks(tol: float):
-    """The invariant sweep behind the `validate` command.
-
-    Yields (name, passed, detail) triples; cheap enough for a desk run.
-    """
+    """The invariant sweep behind the `validate` command: criteria 07, 04,
+    08, 06 and 09 at desk size.  Yields (name, passed, detail) triples."""
     cfg = OracleConfig(rel_tol=max(tol, 1e-13))
-
     spec = ProblemSpec(0.2, 0.4, 0.0, 20.0)
-    table = moment_table(spec, 256)
-    worst = max(recurrence_residual(table, k) for k in range(table.N - 3))
-    yield ("recurrence-residual", worst <= 1e-8, f"max {worst:.3e}")
-
-    ks = [0, 3, 17, 64, 150, 256]
-    rel = max(abs(table.values[k] - ref) / max(abs(ref), 1e2 * err, 1e-280)
-              for k, (ref, err) in reference_moments(spec, ks, cfg).items())
-    yield ("hybrid-vs-oracle", rel <= 1e-8, f"max rel {rel:.3e}")
-
-    alias_ok = True
-    for n in (8, 16):
-        for p in (1, 2, 3):
-            for j in range(n + 1):
-                high = ChebyshevExpansion([0.0] * (p * n + j) + [1.0])
-                got = cheb_interp_coeffs(
-                    [high(x) for x in cc_points(n)]).coefficients
-                want = np.zeros(n + 1)
-                want[j if p % 2 == 0 else n - j] = 1.0
-                if np.max(np.abs(got - want)) > 1e-12:
-                    alias_ok = False
-    yield ("aliasing", alias_ok, "T*_{pN+-j} folds onto T*_j")
-
-    big = moment_table(spec, 1024)
-    ktail = np.arange(100, 1025)
-    slope = np.polyfit(np.log(ktail), np.log(np.abs(big.values[100:])), 1)[0]
-    expect = -2.0 - 2.0 * min(spec.alpha, spec.beta)
-    yield ("moment-decay", abs(slope - expect) <= 0.25,
-           f"slope {slope:.3f} vs {expect:.2f}")
-
-    poly = ProblemSpec(0.2, 0.4, 0.0, 20.0,
-                       integrand=ChebyshevExpansion([0.0, 0.0, 0.0, 1.0]))
-    q = ccf_integrate(poly, 12)
-    diff = abs(q.value - table.values[3])
-    yield ("polynomial-exactness", diff <= max(1e-10, q.moment_err_est),
-           f"|Q - M(3)| = {diff:.3e}")
+    yield ("recurrence-residual",
+           *criteria.recurrence_residuals([spec], 256, [(spec, 20)], cfg))
+    yield ("hybrid-vs-oracle",
+           *criteria.moment_grid([spec], 256, [0, 3, 17, 64, 150, 256], cfg))
+    yield ("aliasing", *criteria.aliasing())
+    yield ("moment-decay", *criteria.moment_decay([(0.2, 0.4, 0.0, -2.4)]))
+    yield ("polynomial-exactness",
+           *criteria.polynomial_exactness([spec], range(11), cfg))
 
 
 def _run_validate(ns: argparse.Namespace):

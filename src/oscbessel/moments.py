@@ -39,7 +39,6 @@ from .specfun import (ExtendedReal, bessel_entire_jet, hyp2f3, jet_compose,
 __all__ = [
     "MomentTable",
     "BandedSystem",
-    "recurrence_coefficients",
     "power_moment",
     "end_moment_asymptotic",
     "moment_table",
@@ -144,18 +143,6 @@ def _row_coefficients(spec: ProblemSpec, m):
     return _two_sum(pieces[-1], sum(pieces[:-1]))
 
 
-def recurrence_coefficients(spec: ProblemSpec, k: int) -> dict:
-    """Coefficients c_d of the identity sum_d c_d M(k+d) = 0 at index k.
-
-    Mapping d -> c_d for d in {-4, -2, -1, 0, 1, 2, 4}; the d = +-3 slots
-    of the stencil are identically zero.  The set is symmetric under
-    (k, d) -> (-k, -d), consistent with M(-j) = M(j).  Values are the
-    double (hi) parts of the exact coefficients.
-    """
-    hi, _ = _row_coefficients(spec, [k])
-    return dict(zip(_OFFSETS, hi[:, 0].tolist()))
-
-
 # ---------------------------------------------------------------------------
 # Closed-form moments
 # ---------------------------------------------------------------------------
@@ -164,13 +151,17 @@ def power_moment(a: float, b: float, nu: float, omega: float) -> ExtendedReal:
     """I(a,b,nu,w) = int_0^1 x^a (1-x)^b J_nu(w x) dx, closed form.
 
     Gamma prefactor times 2F3 evaluated at z = -w^2/4; valid for
-    a + nu > -1 and b > -1.  err_est covers the 2F3's 2^-192 relative bound
-    and the rounding of the product at the pipeline precision.
+    a + nu > -1, b > -1 and w >= 0.  err_est covers the 2F3's 2^-192
+    relative bound and the rounding of the product at the pipeline
+    precision.
     """
     if not float(a) + float(nu) > -1.0:
         raise DomainError(f"need a + nu > -1, got {float(a) + float(nu)}")
     if not float(b) > -1.0:
         raise DomainError(f"need b > -1, got {b}")
+    if not float(omega) >= 0.0:
+        # (w/2)^nu of a negative w is complex.
+        raise DomainError(f"need omega >= 0, got {omega}")
     # Parameter combinations are formed in mpf: double-rounded sums like
     # (a+nu+1)/2 shift the result at the 1e-16 level, which the power-basis
     # cancellation downstream cannot afford.
@@ -620,11 +611,14 @@ def moment_table(spec: ProblemSpec, N: int) -> MomentTable:
 
 
 def recurrence_residual(table: MomentTable, k: int) -> float:
-    """|recurrence at k| / (largest term), a dimensionless consistency score."""
+    """|sum_d c_d(k) M(k+d)| / max_d |c_d(k) M(k+d)| over d in _OFFSETS,
+    with the double (hi) parts of the exact c_d: a dimensionless
+    consistency score of the recurrence at index k."""
     if k < 0 or k + 4 > table.N:
         raise IndexError(f"entries k-4..k+4 not all present for k={k}")
-    c = recurrence_coefficients(table.spec, k)
-    terms = [cd * table.values[abs(k + d)] for d, cd in c.items()]
+    hi, _ = _row_coefficients(table.spec, [k])
+    terms = [c * table.values[abs(k + d)]
+             for d, c in zip(_OFFSETS, hi[:, 0].tolist())]
     scale = max(abs(t) for t in terms)
     if scale == 0.0:
         return 0.0

@@ -27,6 +27,9 @@ __all__ = ["OracleConfig", "reference_integral", "reference_moment",
 #: Interior Gauss-Kronrod panel evaluations one integral may spend.
 _MAX_PANELS = 4096
 
+#: Most half-period panels in one grid, which is allocated whole.
+_MAX_GRID = 1 << 19
+
 #: Rounding floor of every err_est, relative to the integral of |integrand|:
 #: QUADPACK's 50 eps (Piessens et al., 1983).  The K15 - G7 difference does
 #: not see the rounding of the nodes' values, which reaches ~18 eps of it.
@@ -43,6 +46,14 @@ class OracleConfig:
         if not 1e-14 <= self.rel_tol < math.inf:
             raise DomainError("rel_tol must be finite and >= 1e-14, got "
                               f"{self.rel_tol}")
+
+
+def _grid_size(n: int) -> int:
+    """n half-period panels, or a DomainError before any is built."""
+    if n > _MAX_GRID:
+        raise DomainError(f"the oracle's grid would need {n} half-period "
+                          f"panels, more than its limit of {_MAX_GRID}")
+    return n
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +194,7 @@ def reference_integral(spec: ProblemSpec, cfg: OracleConfig | None = None,
     Extra breakpoints (e.g. integrand kinks) may be supplied; they are
     merged into the grid of panels pi/w apart.  ``f`` is called one
     Python float at a time, once per node; the rest of the integrand is
-    evaluated on arrays of nodes.
+    evaluated on arrays of nodes.  A non-finite f(x) is a DomainError.
     """
     cfg = cfg or OracleConfig()
     if f is None:
@@ -194,11 +205,14 @@ def reference_integral(spec: ProblemSpec, cfg: OracleConfig | None = None,
 
     def kernel(x):
         fx = np.fromiter(map(f, x.ravel().tolist()), float, x.size)
+        if not np.isfinite(fx).all():
+            bad = float(x.ravel()[np.argmin(np.isfinite(fx))])
+            raise DomainError(f"integrand not finite at x={bad}")
         return fx.reshape(x.shape) * jv(nu, w * x)
 
     # edges pi/w apart, the half-period of J_nu(w x) at large w x; an edge
     # that rounds to 1.0 would leave an empty end panel
-    edges = np.arange(1, math.ceil(w / math.pi)) * (math.pi / w)
+    edges = np.arange(1, _grid_size(math.ceil(w / math.pi))) * (math.pi / w)
     extra = [float(p) for p in breakpoints if 0.0 < float(p) < 1.0]
     pts = np.union1d(edges[edges < 1.0], extra)
     if pts.size == 0:
@@ -267,7 +281,7 @@ def _moment_theta(spec, ks, cfg):
     if not ks.size:
         raise DomainError("need one or more moment indices")
     a, b, nu, w = spec.alpha, spec.beta, spec.nu, spec.omega
-    q = max(int(ks.max()), int(math.ceil(w / 2.0)), 8)
+    q = _grid_size(max(int(ks.max()), int(math.ceil(w / 2.0)), 8))
     # zeros of cos(2 q theta); tanh-sinh ends cover the first/last few
     # half-periods so every interior panel sees a smooth W
     zeros = (2 * np.arange(q) + 1) * math.pi / (4.0 * q)

@@ -110,11 +110,9 @@ class TestPolynomialExactness:
             spec = dataclasses.replace(
                 base, integrand=ChebyshevExpansion([0.0] * d + [1.0]))
             q = ccf_integrate(spec, 12)
-            # Q equals the exact-coefficient contraction ...
+            # Q equals the exact-coefficient contraction; criterion-09
+            # compares the same rows with the oracle.
             assert abs(q.value - table.values[d]) <= 1e-12 * scale
-            # ... and the oracle agrees.
-            ref, _ = reference_integral(spec)
-            assert abs(q.value - ref) <= max(1e-10, q.moment_err_est)
 
 
 class TestConvergenceStudy:

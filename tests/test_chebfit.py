@@ -54,19 +54,6 @@ class TestInterpCoeffs:
                 scale = np.max(np.abs(samples))
                 assert np.max(np.abs(recon - samples)) <= 1e-13 * scale
 
-    def test_aliasing_identities(self):
-        # Samples of T*_{pN+j} interpolate to T*_j (p even), T*_{N-j} (p odd).
-        for n in (8, 16):
-            pts = cc_points(n)
-            for p in (1, 2, 3):
-                for j in range(n + 1):
-                    high = ChebyshevExpansion([0.0] * (p * n + j) + [1.0])
-                    got = cheb_interp_coeffs(
-                        [high(x) for x in pts]).coefficients
-                    want = np.zeros(n + 1)
-                    want[j if p % 2 == 0 else n - j] = 1.0
-                    assert np.max(np.abs(got - want)) <= 1e-12, (n, p, j)
-
     def test_fft_and_direct_paths_agree(self):
         # O(N^2) reference: b_k = (2/N) sum''_j f_j cos(j k pi / N), then
         # b_0 and b_N halved, for N on and off the powers of two.

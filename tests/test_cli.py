@@ -4,9 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from oscbessel import cli
+from oscbessel import cli, criteria
 from oscbessel.chebfit import cc_points
 from oscbessel.errors import AccuracyError
+from oscbessel.moments import moment_table
+from oscbessel.oracle import OracleConfig
+from oscbessel.problem import ProblemSpec
 
 
 def run(argv, capsys):
@@ -307,6 +310,9 @@ def test_validate_passes(capsys):
     assert code == 0
     lines = out.strip().split("\n")
     assert lines[0] == "check,status,detail"
+    assert [line.split(",")[0] for line in lines[1:]] == [
+        "recurrence-residual", "hybrid-vs-oracle", "aliasing",
+        "moment-decay", "polynomial-exactness"]
     assert all(",pass," in line for line in lines[1:])
 
 
@@ -319,3 +325,20 @@ def test_validate_failure_is_2_and_still_reported(tmp_path, monkeypatch):
     assert cli.main(["validate", "--out", str(out)]) == 2
     assert out.read_text() == (
         "check,status,detail\nfirst,pass,fine\nsecond,FAIL,broken\n")
+
+
+def test_a_wrong_table_fails_the_shared_checks(capsys, monkeypatch):
+    # One entry off by 1e-6 relative, in every table the checks build.
+    def skewed(spec, N):
+        table = moment_table(spec, N)
+        table.values[17] *= 1.0 + 1e-6
+        return table
+    monkeypatch.setattr(criteria, "moment_table", skewed)
+    spec, cfg = ProblemSpec(0.2, 0.4, 0.0, 20.0), OracleConfig()
+    assert not criteria.moment_grid([spec], 32, [17], cfg)[0]
+    assert not criteria.recurrence_residuals([spec], 32, [], cfg)[0]
+    code, out, _ = run(["validate"], capsys)
+    status = dict(line.split(",")[:2] for line in out.strip().split("\n"))
+    assert code == 2
+    assert status["recurrence-residual"] == "FAIL"
+    assert status["hybrid-vs-oracle"] == "FAIL"

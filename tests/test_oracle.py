@@ -66,6 +66,19 @@ class TestReferenceIntegral:
         with pytest.raises(DomainError, match="no integrand"):
             reference_integral(ProblemSpec(0.2, 0.4, 0.0, 20.0))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_integrand_rejected(self, bad):
+        # Both came back as (nan, nan), inf with a RuntimeWarning: NaN
+        # passes the err_est gate, whose comparisons with it are all False.
+        spec = ProblemSpec(0.2, 0.4, 0.0, 20.0)
+        with pytest.raises(DomainError, match="integrand not finite"):
+            reference_integral(spec, f=lambda x: bad if x > 0.7 else 1.0)
+
+    def test_grid_beyond_memory_rejected_before_it_is_built(self):
+        # At omega = 1e12 the edge array alone would take terabytes.
+        with pytest.raises(DomainError, match="half-period panels"):
+            reference_integral(ProblemSpec(0.2, 0.4, 0.0, 1e12), f=math.exp)
+
     def test_integrand_called_with_floats(self):
         seen = set()
         spec = ProblemSpec(0.2, 0.4, 0.0, 200.0,
@@ -139,6 +152,10 @@ class TestReferenceMoment:
             reference_moment(spec, -1)
         with pytest.raises(DomainError):
             reference_moments(spec, [])
+        # A grid of q = max(k, w/2) half-periods is allocated whole.
+        for k, w in ((1 << 20, 20.0), (0, 1e12)):
+            with pytest.raises(DomainError, match="half-period panels"):
+                reference_moment(ProblemSpec(0.2, 0.4, 0.0, w), k)
 
     def test_decay_exponent(self):
         # Lemma-consistent decay -2 - 2 min(alpha, beta) at fixed omega.
