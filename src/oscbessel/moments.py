@@ -15,12 +15,13 @@ recurrence rows m = 0, 1 folded by that symmetry, in 192-bit mpmath; both
 recurrences form one float64 banded LU system, refined with double-double
 (hi + lo) residuals.  Both endpoint jets expand the Bessel factor through
 its entire part g(s), s = w^2 sin^4 theta, about s = 0 at theta = 0 and
-about s = w^2 at theta = pi/2; they are built once per table.
+about s = w^2 at theta = pi/2; they are built once per window.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -33,8 +34,8 @@ from .errors import AccuracyError, DomainError, SingularSystemError
 # name, so the name stays until the tracer reads a diagnostics record.
 from .oracle import reference_moment
 from .problem import ProblemSpec, as_size
-from .specfun import (ExtendedReal, bessel_entire_jet, hyp2f3, jet_compose,
-                      jet_mul, jet_pow)
+from .specfun import (bessel_entire_jet, hyp2f3, jet_compose, jet_mul,
+                      jet_pow)
 
 __all__ = [
     "MomentTable",
@@ -114,8 +115,14 @@ def _exact_quadratics(alpha: float, beta: float, nu: float, omega: float):
 @lru_cache(maxsize=64)
 def _quadratics(alpha: float, beta: float, nu: float, omega: float):
     """_exact_quadratics as a (7, 1) array q2 and, for q1 and q0, three
-    (7, 1) arrays of doubles that sum to the exact values."""
+    (7, 1) arrays of doubles that sum to the exact values.  A coefficient
+    c with (2^27 + 2) |c| >= the largest double (w >~ 1.89e150) is a
+    DomainError: Veltkamp's split of c's double by 2^27 + 1 would overflow.
+    """
     q2, q1, q0 = _exact_quadratics(alpha, beta, nu, omega)
+    if max(abs(c) for c in q1 + q0) * (2 ** 27 + 2) >= sys.float_info.max:
+        raise DomainError(f"omega = {omega}: a recurrence coefficient is "
+                          "too large for the double-double products")
     return np.array(q2, dtype=float)[:, None], *(
         np.array([*map(_three_doubles, q)]).T[:, :, None] for q in (q1, q0))
 
@@ -147,13 +154,13 @@ def _row_coefficients(spec: ProblemSpec, m):
 # Closed-form moments
 # ---------------------------------------------------------------------------
 
-def power_moment(a: float, b: float, nu: float, omega: float) -> ExtendedReal:
-    """I(a,b,nu,w) = int_0^1 x^a (1-x)^b J_nu(w x) dx, closed form.
+def power_moment(a: float, b: float, nu: float, omega: float):
+    """(value, err_est) of I(a,b,nu,w) = int_0^1 x^a (1-x)^b J_nu(w x) dx.
 
-    Gamma prefactor times 2F3 evaluated at z = -w^2/4; valid for
-    a + nu > -1, b > -1 and w >= 0.  err_est covers the 2F3's 2^-192
-    relative bound and the rounding of the product at the pipeline
-    precision.
+    Gamma prefactor times 2F3 evaluated at z = -w^2/4, an mpf at the
+    pipeline precision; valid for a + nu > -1, b > -1 and w >= 0.  err_est,
+    a float, covers the 2F3's 2^-192 relative bound and the rounding of
+    the product at the pipeline precision.
     """
     if not float(a) + float(nu) > -1.0:
         raise DomainError(f"need a + nu > -1, got {float(a) + float(nu)}")
@@ -180,7 +187,7 @@ def power_moment(a: float, b: float, nu: float, omega: float) -> ExtendedReal:
         # to about half an ulp: 2^-188 (16 ulps) covers them with margin.
         err = float(abs(pref)) * h.err_est + float(abs(val)) * 2.0 ** (
             4 - _PIPE_PREC)
-    return ExtendedReal(val, _PIPE_PREC, err_est=err)
+    return val, err
 
 
 #: Integer coefficients c_j of T_k*(x) = sum_j c_j x^(k-j), k = 0..3.
@@ -210,24 +217,32 @@ def _starting_mpf(spec: ProblemSpec, count: int):
     must not be rounded to double prematurely.  err_est bounds the mpf
     value's error only; a solved entry inherits its inputs' errors times
     the row's coefficients over its lead, which amplifies at small w.
+    Where such a ratio overflows a double (w <~ 1e-153) the rows raise
+    DomainError, before any 2F3 is evaluated.
     """
-    # The power-basis coefficients alternate in sign and grow like 4^k.
-    with mp.workprec(_PIPE_PREC):
-        shifted = [mp.mpf(spec.alpha) + i for i in range(min(count, 4))]
-    ivals = [(h.value, h.err_est) for h in (
-        power_moment(ai, spec.beta, spec.nu, spec.omega) for ai in shifted)]
-    out = [_combine((c, ivals[k - j]) for j, c
-                    in enumerate(_SHIFTED_CHEB[k]))
-           for k in range(len(ivals))]
     quads = list(zip(_OFFSETS, *_exact_quadratics(
         spec.alpha, spec.beta, spec.nu, spec.omega)))
+    rows = []
     for k in range(4, count):
         m = k - 4
         row = {}
         for d, q2, q1, q0 in quads:
             row[abs(m + d)] = row.get(abs(m + d), 0) + (q2 * m + q1) * m + q0
         lead = row.pop(k)
-        out.append(_combine((-c / lead, out[j]) for j, c in row.items()))
+        rows.append([(-c / lead, j) for j, c in row.items()])
+    if any(abs(c) > sys.float_info.max for row in rows for c, _ in row):
+        raise DomainError(f"omega = {spec.omega}: the rows that give M(4) "
+                          "and M(5) overflow a double over their lead w^2/8")
+    # The power-basis coefficients alternate in sign and grow like 4^k.
+    with mp.workprec(_PIPE_PREC):
+        shifted = [mp.mpf(spec.alpha) + i for i in range(min(count, 4))]
+    ivals = [power_moment(ai, spec.beta, spec.nu, spec.omega)
+             for ai in shifted]
+    out = [_combine((c, ivals[k - j]) for j, c
+                    in enumerate(_SHIFTED_CHEB[k]))
+           for k in range(len(ivals))]
+    for row in rows:
+        out.append(_combine((c, out[j]) for c, j in row))
     return out
 
 
@@ -354,9 +369,13 @@ def _strip_bound(spec: ProblemSpec, j: int) -> float:
     return math.exp(log_b) if log_b < 709.0 else math.inf
 
 
-def end_moment_asymptotic(spec: ProblemSpec, j: int, jets=None,
-                          abs_tol: float = 0.0):
-    """(value, err_est) for M(j) at large j from endpoint expansions.
+def _window_edge(spec: ProblemSpec) -> int:
+    """max(50, 2 omega) rounded up: the least index the expansion serves."""
+    return math.ceil(max(50.0, 2.0 * spec.omega))
+
+
+def end_moment_asymptotic(spec: ProblemSpec, js) -> dict:
+    """{j: (value, err_est)} for M(j), j in js, from endpoint expansions.
 
     Uses the theta form M(j) = 2 (-1)^j Re int_0^{pi/2} W(theta)
     e^{2ij theta} d(theta), W = sin^(2a+1) cos^(2b+1) J_nu(w sin^2).
@@ -387,29 +406,21 @@ def end_moment_asymptotic(spec: ProblemSpec, j: int, jets=None,
     negative (|cos|, |sin| >= sinh t on that line).  err_est is the other
     end's estimate plus that bound.
 
-    Raises AccuracyError when err_est exceeds both 1e-8 |value| and
-    ``abs_tol``; moment_table passes 1e-16 max|M(0..5)|, the residual
-    audit's floor.  ``jets`` may pass in ``_endpoint_jets(spec)``, built
-    once for several j; by default they are built here.
+    The estimates are reported, not judged: moment_table accepts or
+    rejects them.  The endpoint jets are built once per call.  An index
+    below max(50, 2 omega) is a DomainError.
     """
-    j = as_size(j, 0, "j")
-    if j < max(50.0, 2.0 * spec.omega):
-        raise DomainError(
-            f"asymptotic end moment needs j >= max(50, 2 omega), got {j}")
-    (lam, left), (mu, right) = jets or _endpoint_jets(spec)
-    r = 2.0 * float(j)
-    left_sum, left_err = _end_series(lam, left, r)
-    right_sum, right_err = _end_series(mu, right, r)
-    total = 2.0 * ((-left_sum if j % 2 else left_sum) + right_sum)
-    err = 2.0 * (left_err + right_err)
-    if left is None or right is None:
-        err += _strip_bound(spec, j)
-    if not err <= max(1e-8 * abs(total), abs_tol):
-        raise AccuracyError(
-            f"end-moment expansion of {spec.moment_key()} stalled at "
-            f"err_est {err:.3e} for j={j}",
-            err_est=err)
-    return total, err
+    js = [as_size(j, _window_edge(spec), "j") for j in js]
+    (lam, left), (mu, right) = _endpoint_jets(spec)
+    out = {}
+    for j in js:
+        left_sum, left_err = _end_series(lam, left, 2.0 * j)
+        right_sum, right_err = _end_series(mu, right, 2.0 * j)
+        err = 2.0 * (left_err + right_err)
+        if left is None or right is None:
+            err += _strip_bound(spec, j)
+        out[j] = 2.0 * ((-left_sum if j % 2 else left_sum) + right_sum), err
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +541,7 @@ def _recurrence_system(spec: ProblemSpec, k_switch: int, k_hi: int,
 # Table orchestration
 # ---------------------------------------------------------------------------
 
-#: Doublings of k_hi that moment_table tries while an end moment stalls.
+#: Doublings of k_hi that moment_table tries while it rejects an end moment.
 _MAX_PUSH = 4
 
 
@@ -561,17 +572,21 @@ def moment_table(spec: ProblemSpec, N: int) -> MomentTable:
     and two solved recurrence rows, see _starting_mpf), forward recursion
     to k_switch = clamp of floor(omega/2) into [5, N], then Oliver's
     algorithm up to k_hi = max(N, 2 omega, 50), closed by the _KU end
-    moments M(k_hi+1)..M(k_hi+_KU) from end_moment_asymptotic, whose
-    endpoint jets are built once.  An end moment is accepted within 1e-8
-    relative or within 1e-16 max|M(0..5)| absolute, the residual audit's
-    floor.  While the expansion raises AccuracyError at any end moment,
-    k_hi is doubled, at most _MAX_PUSH times; then the error propagates.
-    Both recurrences are solved together as one banded system.  err_est
-    is absolute: the closed forms' for k <= 5, BandedSystem.solve's err
-    above (seeds carry theirs plus 2^-104 |M| for the hi + lo split, end
-    moments the expansion's), each plus half an ulp of the stored double.
+    moments M(k_hi+1)..M(k_hi+_KU) from end_moment_asymptotic.  This is
+    the one place they are judged: an end moment is accepted when its
+    err_est is within 1e-8 of its value or within 1e-16 max|M(0..5)|, the
+    residual audit's floor.  While any is rejected, k_hi is doubled, at
+    most _MAX_PUSH times; then AccuracyError carries the largest rejected
+    err_est.  Both recurrences are solved together as one banded system.
+    err_est is absolute: the closed forms' for k <= 5, BandedSystem.solve's
+    err above (seeds carry theirs plus 2^-104 |M| for the hi + lo split,
+    end moments the expansion's), each plus half an ulp of the stored
+    double.  An omega outside the double range of this arithmetic is a
+    DomainError before any 2F3 (see _quadratics and _starting_mpf).
     """
     N = as_size(N, 0)
+    if N > 5:
+        _quadratics(*spec.moment_key())     # raises where w is too large
     pairs = _starting_mpf(spec, min(N + 1, 6))
     vals = np.array([float(v) for v, _ in pairs])
     errs = np.array([e for _, e in pairs])
@@ -584,23 +599,22 @@ def moment_table(spec: ProblemSpec, N: int) -> MomentTable:
     k_hi = k_switch
     if N > k_switch:
         # The window's upper edge is pushed out to where the endpoint
-        # expansion is trustworthy, and further while it still stalls; the
-        # surplus entries are simply discarded.
-        k_hi = max(N, int(math.ceil(max(50.0, 2.0 * spec.omega))))
-        jets = _endpoint_jets(spec)
-        abs_tol = 1e-16 * np.abs(vals).max()
-        for push in range(_MAX_PUSH + 1):
-            try:
-                ends = [end_moment_asymptotic(spec, j, jets=jets,
-                                              abs_tol=abs_tol)
-                        for j in range(k_hi + 1, k_hi + _KU + 1)]
+        # expansion is trustworthy, and further while an end moment is
+        # rejected; the surplus entries are simply discarded.
+        k_hi = max(N, _window_edge(spec))
+        floor = 1e-16 * np.abs(vals).max()
+        for _ in range(_MAX_PUSH + 1):
+            ends = end_moment_asymptotic(spec, range(k_hi + 1,
+                                                     k_hi + _KU + 1))
+            rejected = [e for v, e in ends.values()
+                        if not e <= max(1e-8 * abs(v), floor)]
+            if not rejected:
                 break
-            except AccuracyError:
-                if push == _MAX_PUSH:
-                    raise
-                k_hi *= 2
-        boundary.update((k_hi + 1 + i, (v, 0.0, e))
-                        for i, (v, e) in enumerate(ends))
+            k_hi *= 2
+        else:
+            raise AccuracyError(f"end moments of {spec.moment_key()} stalled "
+                                f"at j >= {min(ends)}", err_est=max(rejected))
+        boundary.update((j, (v, 0.0, e)) for j, (v, e) in ends.items())
     system = _recurrence_system(spec, k_switch, k_hi, boundary)
     hi, err = system.solve()
     vals = np.concatenate([vals, hi[: N - 5]])

@@ -95,7 +95,7 @@ def _gk15(f, lo, hi):
     return half * (vals @ _GK_WK), np.abs(half * (vals @ (_GK_WK - _GK_WGAUSS)))
 
 
-def _gk_adaptive(f, lo, hi, val, err, abs_tol):
+def _gk_adaptive(f, lo, hi, val, err, panel_tol):
     """Bisect every panel whose GK15 error exceeds its tolerance.
 
     (val, err) are the GK15 results on [lo, hi]; a child panel gets half its
@@ -106,14 +106,14 @@ def _gk_adaptive(f, lo, hi, val, err, abs_tol):
     budget = _MAX_PANELS
     vals, errs = [], []
     for _ in range(40):
-        bad = err > abs_tol
+        bad = err > panel_tol
         if budget <= 0 or not bad.any():
             break
         vals.append(val[~bad])
         errs.append(err[~bad])
         mid = 0.5 * (lo[bad] + hi[bad])
         lo, hi = np.concatenate([lo[bad], mid]), np.concatenate([mid, hi[bad]])
-        abs_tol *= 0.5
+        panel_tol *= 0.5
         val, err = _gk15(f, lo, hi)
         budget -= lo.size
     vals.append(val)
@@ -237,8 +237,8 @@ def reference_integral(spec: ProblemSpec, cfg: OracleConfig | None = None,
     val, err = _gk15(integrand, lo, hi)
     scale = max(sum(abs(v) for v, _ in ends) + float(np.abs(val).sum()),
                 1e-300)
-    abs_tol = cfg.rel_tol * scale / max(1, lo.size)
-    val, err = _gk_adaptive(integrand, lo, hi, val, err, abs_tol)
+    panel_tol = cfg.rel_tol * scale / max(1, lo.size)
+    val, err = _gk_adaptive(integrand, lo, hi, val, err, panel_tol)
 
     value = math.fsum([v for v, _ in ends] + val.tolist())
     err_est = sum(e for _, e in ends) + float(err.sum()) + _ROUNDOFF * scale

@@ -48,12 +48,15 @@ class ProblemSpec:
 
 
 def as_size(N, least: int, name: str = "N") -> int:
-    """N as an int no smaller than ``least``; a float N, even 64.0, is a
-    DomainError.  ``name`` labels the value in the message."""
+    """N as an int from ``least`` up to 2^53, past which it is no exact
+    double; a float N, even 64.0, is a DomainError.  ``name`` labels the
+    value in the message."""
     try:
         N = operator.index(N)
     except TypeError:
         raise DomainError(f"{name} must be an integer, got {N!r}") from None
     if N < least:
         raise DomainError(f"{name} must be >= {least}, got {N}")
+    if N > 2 ** 53:
+        raise DomainError(f"{name} must be <= 2^53, an exact double")
     return N

@@ -90,6 +90,15 @@ class TestExitCodes:
         assert code == 2
         assert "omega must be finite" in err
 
+    @pytest.mark.parametrize("omega", ["1e-300", "1e155"])
+    def test_omega_past_the_double_range_is_2(self, capsys, omega):
+        # Both printed an OverflowError's traceback and exited 1.
+        code, out, err = run(
+            ["moments", "--alpha", "0.2", "--beta", "0.4", "--nu", "0",
+             "--omega", omega, "--N", "8"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(f"validation error: omega = {float(omega)}")
+
     @pytest.mark.parametrize("argv", [
         ["moments", "--alpha", "0.2", "--beta", "0.4", "--nu", "0",
          "--omega", "20", "--N", "8", "--f", "no_such_fn"],

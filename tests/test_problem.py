@@ -3,7 +3,7 @@ import math
 import pytest
 
 from oscbessel.errors import DomainError
-from oscbessel.problem import ProblemSpec
+from oscbessel.problem import ProblemSpec, as_size
 
 VALID = {"alpha": 0.2, "beta": 0.4, "nu": 0.0, "omega": 200.0}
 
@@ -27,3 +27,9 @@ def test_parameter_outside_domain_rejected(field, value):
 def test_finite_parameters_accepted():
     spec = ProblemSpec(**VALID)
     assert spec.moment_key() == (0.2, 0.4, 0.0, 200.0)
+
+
+def test_size_is_an_exact_double():
+    assert as_size(2 ** 53, 0) == 2 ** 53
+    with pytest.raises(DomainError, match="2\\^53"):
+        as_size(2 ** 53 + 1, 0)
