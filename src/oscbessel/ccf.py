@@ -5,6 +5,11 @@ integrate the weighted oscillatory kernel exactly through the moment
 table.  Moment tables are f-independent, so they are cached per
 (alpha, beta, nu, omega), up to _CACHE_CAPACITY kernels with the least
 recently used dropped first, and N-sweeps reuse the largest one by prefix.
+
+f is called once per distinct node, with a Python float, and its result
+is converted to float64 as numpy converts it (problem.sample).  A rule of
+size N calls it N+1 times; convergence_study reuses the samples of nested
+grids, so a dyadic sweep calls it N_max+1 times in all.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import numpy as np
 from .chebfit import cc_points, cheb_interp_coeffs
 from .errors import DomainError
 from .moments import MomentTable, moment_table
-from .problem import ProblemSpec, as_size
+from .problem import ProblemSpec, as_size, sample
 
 __all__ = [
     "QuadratureResult",
@@ -85,16 +90,9 @@ def clear_moment_cache() -> None:
         _TABLE_CACHE.clear()
 
 
-def ccf_integrate(spec: ProblemSpec, N: int) -> QuadratureResult:
-    """Apply the N+1-point CCF rule to the problem's integrand."""
-    N = as_size(N, 1)
-    if spec.integrand is None:
-        raise DomainError("problem carries no integrand")
-    samples = np.array([float(spec.integrand(float(x)))
-                        for x in cc_points(N)])
-    if not np.all(np.isfinite(samples)):
-        bad = float(cc_points(N)[int(np.argmax(~np.isfinite(samples)))])
-        raise DomainError(f"integrand not finite at x={bad}")
+def _rule(spec: ProblemSpec, samples: np.ndarray) -> QuadratureResult:
+    """The CCF rule on samples of f at cc_points(N), N = len(samples) - 1."""
+    N = len(samples) - 1
     b = cheb_interp_coeffs(samples).coefficients
     table = _cached_table(spec, N)
     values = table.values[: N + 1]
@@ -106,17 +104,42 @@ def ccf_integrate(spec: ProblemSpec, N: int) -> QuadratureResult:
                             float(np.abs(b) @ errs), abs(float(b[-1])))
 
 
+def _integrand(spec: ProblemSpec):
+    if spec.integrand is None:
+        raise DomainError("problem carries no integrand")
+    return spec.integrand
+
+
+def ccf_integrate(spec: ProblemSpec, N: int) -> QuadratureResult:
+    """Apply the N+1-point CCF rule to the problem's integrand."""
+    N = as_size(N, 1)
+    return _rule(spec, sample(_integrand(spec), cc_points(N)))
+
+
 def convergence_study(spec: ProblemSpec, N_list, reference: float):
-    """One ConvergenceRecord per N against a fixed reference value."""
+    """One ConvergenceRecord per N against a fixed reference value.
+
+    f is sampled once on cc_points(N_max).  Each N whose points are every
+    (N_max/N)-th of those, bit for bit (any dyadic ratio), takes its
+    samples from there; any other N samples f on its own points.
+    """
     N_list = [as_size(n, 1) for n in N_list]
     if any(b <= a for a, b in zip(N_list, N_list[1:])) or not N_list:
         raise DomainError("N_list must be nonempty and strictly increasing")
     if not math.isfinite(reference):
         raise DomainError(f"reference must be finite, got {reference}")
-    _cached_table(spec, N_list[-1])   # one build, all N reuse the prefix
+    f = _integrand(spec)
+    N_max = N_list[-1]
+    _cached_table(spec, N_max)   # one build, all N reuse the prefix
+    grid = cc_points(N_max)
+    fine = sample(f, grid)
     records = []
     for n in N_list:
-        q = ccf_integrate(spec, n)
+        points = cc_points(n)
+        r = N_max // n
+        nested = (N_max % n == 0
+                  and grid[::r].tobytes() == points.tobytes())
+        q = _rule(spec, fine[::r] if nested else sample(f, points))
         records.append(ConvergenceRecord(n, q.value, reference,
                                          abs(q.value - reference)))
     return records

@@ -183,10 +183,15 @@ def power_moment(a: float, b: float, nu: float, omega: float):
                 * (wm / 2) ** nm
                 / (mp.gamma(nm + 1) * mp.gamma(am + bm + nm + 2)))
         val = pref * h.value
+        hyp_err = float(abs(pref)) * h.err_est
+        if not math.isfinite(hyp_err):
+            # (w/2)^nu overflowed a double, and h.err_est, 2^-192 |2F3|,
+            # may have underflowed to 0: inf or inf * 0 = NaN.  The same
+            # relative bound taken on val is the product without either.
+            hyp_err = 2.0 ** -192 * float(abs(val))
         # Four gammas, a power and five products or quotients, each good
         # to about half an ulp: 2^-188 (16 ulps) covers them with margin.
-        err = float(abs(pref)) * h.err_est + float(abs(val)) * 2.0 ** (
-            4 - _PIPE_PREC)
+        err = hyp_err + float(abs(val)) * 2.0 ** (4 - _PIPE_PREC)
     return val, err
 
 
@@ -321,7 +326,8 @@ def _end_series(exponent: float, jet, r: float):
     running product of (x'+i)/r from x' = e - p in (0, 1], which neither
     overflows nor loses accuracy for large e, so a term is a product of
     about x + 8 correctly rounded factors; that many eps of each added
-    term are charged as its rounding.
+    term are charged as its rounding.  Where an exponent far above r
+    takes a term past the double range, the end is (0, inf).
     """
     if jet is None:
         return 0.0, 0.0
@@ -329,8 +335,14 @@ def _end_series(exponent: float, jet, r: float):
     e = exponent - p
     steps = (e + np.arange(p + len(jet) - 1)) / r
     x = exponent + np.arange(len(jet))
-    terms = (np.cumprod([math.gamma(e) * r ** -e, *steps])[p:]
-             * np.cos(np.pi * (x % 4.0) / 2.0) * jet)
+    try:
+        with np.errstate(over="raise"):
+            terms = (np.cumprod([math.gamma(e) * r ** -e, *steps])[p:]
+                     * np.cos(np.pi * (x % 4.0) / 2.0) * jet)
+    except FloatingPointError:
+        # A term is past the double range, so e is far above r, where the
+        # series tells nothing: err_est inf, which moment_table rejects.
+        return 0.0, math.inf
     nonzero = [(t, xn) for t, xn in zip(terms.tolist(), x.tolist()) if t]
     total, prev, rounding = 0.0, math.inf, 0.0
     for i, (t, xn) in enumerate(nonzero):

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import jv
 
 from .errors import AccuracyError, DomainError
-from .problem import ProblemSpec, as_size
+from .problem import ProblemSpec, as_size, sample
 
 __all__ = ["OracleConfig", "reference_integral", "reference_moment",
            "reference_moments"]
@@ -204,11 +204,7 @@ def reference_integral(spec: ProblemSpec, cfg: OracleConfig | None = None,
     a, b, nu, w = spec.alpha, spec.beta, spec.nu, spec.omega
 
     def kernel(x):
-        fx = np.fromiter(map(f, x.ravel().tolist()), float, x.size)
-        if not np.isfinite(fx).all():
-            bad = float(x.ravel()[np.argmin(np.isfinite(fx))])
-            raise DomainError(f"integrand not finite at x={bad}")
-        return fx.reshape(x.shape) * jv(nu, w * x)
+        return sample(f, x) * jv(nu, w * x)
 
     # edges pi/w apart, the half-period of J_nu(w x) at large w x; an edge
     # that rounds to 1.0 would leave an empty end panel

@@ -7,6 +7,8 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+import numpy as np
+
 from .errors import DomainError
 
 __all__ = ["ProblemSpec"]
@@ -17,7 +19,9 @@ class ProblemSpec:
     """Weight exponents, Bessel order, frequency, and the integrand f.
 
     ``integrand`` may be None for moment-only work; operations that sample
-    f require it.
+    f require it.  f is called once per distinct node, with a Python float,
+    and its result is converted to float64 as numpy converts it (None
+    becomes NaN); a result that is not finite is a DomainError naming x.
     """
 
     alpha: float
@@ -45,6 +49,16 @@ class ProblemSpec:
     def moment_key(self):
         """Hashable identity of the f-independent part."""
         return (self.alpha, self.beta, self.nu, self.omega)
+
+
+def sample(f, x: np.ndarray) -> np.ndarray:
+    """f at every node of x, called on Python floats, as an array shaped
+    like x.  A non-finite value is a DomainError naming the first such x."""
+    fx = np.fromiter(map(f, x.ravel().tolist()), float, x.size)
+    if not np.isfinite(fx).all():
+        bad = float(x.ravel()[np.argmin(np.isfinite(fx))])
+        raise DomainError(f"integrand not finite at x={bad}")
+    return fx.reshape(x.shape)
 
 
 def as_size(N, least: int, name: str = "N") -> int:

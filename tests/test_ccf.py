@@ -65,10 +65,26 @@ class TestCcfIntegrate:
         tails = [ccf_integrate(spec, n).coeff_tail for n in (8, 32, 128)]
         assert tails[0] > tails[1] > tails[2]
 
+    def test_integrand_called_once_per_node_with_floats(self):
+        seen = []
+        spec = ProblemSpec(0.2, 0.4, 0.0, 20.0,
+                           integrand=lambda x: seen.append(type(x)) or 1.0)
+        ccf_integrate(spec, 64)
+        assert seen == [float] * 65
+
     def test_nan_integrand_rejected(self):
         spec = ProblemSpec(0.2, 0.4, 0.0, 20.0,
                            integrand=lambda x: float("nan"))
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="integrand not finite at x=1"):
+            ccf_integrate(spec, 8)
+
+    @pytest.mark.parametrize("bad", [math.inf, None])
+    def test_inf_or_none_integrand_rejected(self, bad):
+        # None was a TypeError from float(); numpy reads it as NaN.
+        spec = ProblemSpec(0.2, 0.4, 0.0, 20.0,
+                           integrand=lambda x: bad if x < 0.3 else 1.0)
+        with pytest.raises(DomainError,
+                           match=r"integrand not finite at x=0\.146446"):
             ccf_integrate(spec, 8)
 
     def test_overflowing_sum_rejected_without_warning(self):
@@ -145,6 +161,23 @@ class TestConvergenceStudy:
         spec = ProblemSpec(0.2, 0.4, 0.0, 20.0, integrand=math.exp)
         with pytest.raises(DomainError, match="reference must be finite"):
             convergence_study(spec, [4, 8], reference)
+
+    def test_dyadic_sweep_samples_once(self):
+        calls = []
+        spec = ProblemSpec(0.2, 0.4, 0.0, 20.0,
+                           integrand=lambda x: calls.append(x) or math.exp(x))
+        convergence_study(spec, [2 ** p for p in range(4, 13)], 0.0)
+        assert len(calls) == 4097
+
+    # In the first list 48's points hold 16's only to rounding and 10 does
+    # not divide 48, so both sample f on their own points; the second
+    # nests throughout.
+    @pytest.mark.parametrize("N_list", [[10, 16, 48], [16, 32, 64, 128]])
+    def test_records_equal_single_rules(self, N_list):
+        spec = ProblemSpec(0.6, -0.4, 2.5, 50.0,
+                           integrand=lambda x: abs(x - 0.4871))
+        for rec in convergence_study(spec, N_list, 0.0):
+            assert rec.approx == ccf_integrate(spec, rec.N).value
 
     def test_cache_reuse_is_transparent(self):
         spec = ProblemSpec(0.3, 0.1, 0.0, 40.0, integrand=math.exp)

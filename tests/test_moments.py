@@ -2,6 +2,7 @@ import ast
 import math
 import pathlib
 import time
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -285,6 +286,17 @@ class TestPowerMoment:
                 err = abs(value - power_moment_600(a, b, nu, w))
             assert err <= err_est, (w, float(err), err_est)
 
+    @pytest.mark.parametrize("nu, w", [(20.0, 1e17), (7.0, 1e46),
+                                       (2.5, 1e126), (2.0, 1e156)])
+    def test_err_est_finite_where_the_prefactor_overflows(self, nu, w):
+        # (w/2)^nu overflows a double where the 2F3's err_est underflows
+        # to 0, and err_est read inf * 0 = NaN.
+        value, err_est = power_moment(0.2, 0.4, nu, w)
+        assert math.isfinite(err_est)
+        assert err_est >= 2.0 ** -192 * abs(float(value)) > 0.0
+        table = moment_table(ProblemSpec(0.2, 0.4, nu, w), 5)
+        assert np.all(np.isfinite(table.err_est))
+
     def test_parameter_validation(self):
         with pytest.raises(DomainError):
             power_moment(-1.5, 0.0, 0.0, 1.0)
@@ -428,6 +440,19 @@ class TestEndMomentAsymptotic:
         assert value == 0.0
         assert abs(mp.mpf(CHEBYSHEV_MOMENTS[401])) <= err_est <= 1e-130
         assert not err_est <= 1e-8 * abs(value)
+
+    def test_overflowing_end_reported_unusable(self):
+        # lam = 2102 is far above r = 2j: Gamma(x) r^-x overflowed, met
+        # zero jet terms, and both ends read (nan, nan) with numpy
+        # RuntimeWarnings.
+        spec = ProblemSpec(1000.0, 2.0, 50.0, 1e-145)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ends = end_moment_asymptotic(spec, [51, 52])
+            table = moment_table(spec, 8)
+        assert ends == {51: (0.0, math.inf), 52: (0.0, math.inf)}
+        assert np.all(np.isfinite(table.values))
+        assert np.all(np.isfinite(table.err_est))
 
     def test_stall_raises(self):
         # At j ~ 2 omega the left series (lam = 2) grows from its second
