@@ -8,8 +8,10 @@ recently used dropped first, and N-sweeps reuse the largest one by prefix.
 
 f is called once per distinct node, with a Python float, and its result
 is converted to float64 as numpy converts it (problem.sample).  A rule of
-size N calls it N+1 times; convergence_study reuses the samples of nested
-grids, so a dyadic sweep calls it N_max+1 times in all.
+size N calls it N+1 times; in convergence_study every N that divides N_max
+reuses the samples at cc_points(N_max), so a dyadic or triadic sweep calls
+it N_max+1 times in all.  A missing f, an f that raises an ArithmeticError
+and a non-finite f(x) are each a DomainError.
 """
 
 from __future__ import annotations
@@ -104,42 +106,31 @@ def _rule(spec: ProblemSpec, samples: np.ndarray) -> QuadratureResult:
                             float(np.abs(b) @ errs), abs(float(b[-1])))
 
 
-def _integrand(spec: ProblemSpec):
-    if spec.integrand is None:
-        raise DomainError("problem carries no integrand")
-    return spec.integrand
-
-
 def ccf_integrate(spec: ProblemSpec, N: int) -> QuadratureResult:
     """Apply the N+1-point CCF rule to the problem's integrand."""
     N = as_size(N, 1)
-    return _rule(spec, sample(_integrand(spec), cc_points(N)))
+    return _rule(spec, sample(spec.integrand, cc_points(N)))
 
 
 def convergence_study(spec: ProblemSpec, N_list, reference: float):
     """One ConvergenceRecord per N against a fixed reference value.
 
-    f is sampled once on cc_points(N_max).  Each N whose points are every
-    (N_max/N)-th of those, bit for bit (any dyadic ratio), takes its
-    samples from there; any other N samples f on its own points.
+    f is sampled once on cc_points(N_max), before any table is built.
+    Each N that divides N_max takes every (N_max/N)-th of those samples;
+    any other N samples f on its own points.
     """
     N_list = [as_size(n, 1) for n in N_list]
     if any(b <= a for a, b in zip(N_list, N_list[1:])) or not N_list:
         raise DomainError("N_list must be nonempty and strictly increasing")
     if not math.isfinite(reference):
         raise DomainError(f"reference must be finite, got {reference}")
-    f = _integrand(spec)
     N_max = N_list[-1]
+    fine = sample(spec.integrand, cc_points(N_max))
     _cached_table(spec, N_max)   # one build, all N reuse the prefix
-    grid = cc_points(N_max)
-    fine = sample(f, grid)
     records = []
     for n in N_list:
-        points = cc_points(n)
-        r = N_max // n
-        nested = (N_max % n == 0
-                  and grid[::r].tobytes() == points.tobytes())
-        q = _rule(spec, fine[::r] if nested else sample(f, points))
+        q = _rule(spec, fine[::N_max // n] if N_max % n == 0
+                  else sample(spec.integrand, cc_points(n)))
         records.append(ConvergenceRecord(n, q.value, reference,
                                          abs(q.value - reference)))
     return records

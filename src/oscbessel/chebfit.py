@@ -37,12 +37,14 @@ class ChebyshevExpansion:
 
 
 def cc_points(N: int) -> np.ndarray:
-    """Clenshaw-Curtis points c_i = 1/2 + cos(i pi / N)/2, i = 0..N.
+    """Clenshaw-Curtis points c_i = 1/2 + cos(pi (i / N))/2, i = 0..N.
 
-    Descending from 1 to 0, symmetric about 1/2.
+    Descending from 1 to 0, symmetric about 1/2.  i/N is rounded before
+    it meets pi, and (i r)/(N r) rounds like i/N, so cc_points(M)[::M//N]
+    equals cc_points(N) bit for bit whenever N divides M.
     """
     N = as_size(N, 1)
-    return 0.5 + 0.5 * np.cos(np.arange(N + 1) * np.pi / N)
+    return 0.5 + 0.5 * np.cos(np.pi * (np.arange(N + 1) / N))
 
 
 def cheb_interp_coeffs(samples) -> ChebyshevExpansion:

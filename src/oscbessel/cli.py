@@ -97,7 +97,7 @@ def _build_user(path=""):
     except OSError as exc:
         raise UsageError(f"--f: cannot read {path}: {exc}") from None
     # Samples are f at cc_points(len-1); the interpolant stands in for f,
-    # so re-sampling at the same nodes reproduces them exactly.
+    # and re-sampled at those nodes it gives them back to rounding only.
     return cheb_interp_coeffs(samples), ()
 
 
@@ -133,6 +133,8 @@ def parse_n_range(text: str):
         raise UsageError(f"--N: not an integer list: {text!r}") from None
     if any(n < 1 for n in out):
         raise UsageError("--N: values must be >= 1")
+    if any(b <= a for a, b in zip(out, out[1:])):
+        raise UsageError("--N: values must be strictly increasing")
     return out
 
 

@@ -194,13 +194,10 @@ def reference_integral(spec: ProblemSpec, cfg: OracleConfig | None = None,
     Extra breakpoints (e.g. integrand kinks) may be supplied; they are
     merged into the grid of panels pi/w apart.  ``f`` is called one
     Python float at a time, once per node; the rest of the integrand is
-    evaluated on arrays of nodes.  A non-finite f(x) is a DomainError.
+    evaluated on arrays of nodes.  Its failures are problem.sample's.
     """
     cfg = cfg or OracleConfig()
-    if f is None:
-        f = spec.integrand
-    if f is None:
-        raise DomainError("spec has no integrand and none was supplied")
+    f = spec.integrand if f is None else f
     a, b, nu, w = spec.alpha, spec.beta, spec.nu, spec.omega
 
     def kernel(x):

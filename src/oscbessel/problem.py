@@ -53,8 +53,14 @@ class ProblemSpec:
 
 def sample(f, x: np.ndarray) -> np.ndarray:
     """f at every node of x, called on Python floats, as an array shaped
-    like x.  A non-finite value is a DomainError naming the first such x."""
-    fx = np.fromiter(map(f, x.ravel().tolist()), float, x.size)
+    like x.  f None, an ArithmeticError from f and a non-finite value
+    (naming the first such x) are each a DomainError."""
+    if f is None:
+        raise DomainError("problem carries no integrand")
+    try:
+        fx = np.fromiter(map(f, x.ravel().tolist()), float, x.size)
+    except ArithmeticError as exc:
+        raise DomainError(f"integrand raised {exc!r}") from exc
     if not np.isfinite(fx).all():
         bad = float(x.ravel()[np.argmin(np.isfinite(fx))])
         raise DomainError(f"integrand not finite at x={bad}")

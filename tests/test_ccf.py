@@ -103,6 +103,28 @@ class TestCcfIntegrate:
         with pytest.raises(DomainError):
             ccf_integrate(ProblemSpec(0.2, 0.4, 0.0, 20.0), 8)
 
+    def test_missing_integrand_rejected_before_work(self, monkeypatch):
+        # One message from problem.sample for every caller, raised in
+        # convergence_study before any moment table is built.
+        spec = ProblemSpec(0.2, 0.4, 0.0, 20.0)
+        with pytest.raises(DomainError, match="problem carries no integrand"):
+            ccf_integrate(spec, 8)
+        with pytest.raises(DomainError, match="problem carries no integrand"):
+            reference_integral(spec)
+        monkeypatch.setattr(ccf, "moment_table", no_work)
+        with pytest.raises(DomainError, match="problem carries no integrand"):
+            convergence_study(spec, [8, 16], 1.0)
+
+    def test_raising_integrand_rejected(self):
+        # The pole x = 1/2 is node 32 of 64, and at omega = 3 pi the centre
+        # of the oracle's panel (1/3, 2/3): ZeroDivisionError escaped.
+        spec = ProblemSpec(0.2, 0.4, 0.0, 3 * math.pi,
+                           integrand=lambda x: 1 / (x - 0.5))
+        with pytest.raises(DomainError, match="integrand raised"):
+            ccf_integrate(spec, 64)
+        with pytest.raises(DomainError, match="integrand raised"):
+            reference_integral(spec)
+
     @pytest.mark.parametrize("N", [64.0, 16.7, "64"])
     def test_non_integral_n_rejected_before_work(self, N, monkeypatch):
         # A float N raised numpy's TypeError only after the table was
@@ -169,14 +191,21 @@ class TestConvergenceStudy:
         convergence_study(spec, [2 ** p for p in range(4, 13)], 0.0)
         assert len(calls) == 4097
 
-    # In the first list 48's points hold 16's only to rounding and 10 does
-    # not divide 48, so both sample f on their own points; the second
-    # nests throughout.
-    @pytest.mark.parametrize("N_list", [[10, 16, 48], [16, 32, 64, 128]])
+    # 10 does not divide 48, so it samples f on its own points; every
+    # other N divides its list's last and reuses those samples, so the
+    # triadic sweep calls f 2,188 times, not 3,272.
+    @pytest.mark.parametrize("N_list", [[10, 16, 48], [16, 32, 64, 128],
+                                        [3 ** p for p in range(1, 8)]])
     def test_records_equal_single_rules(self, N_list):
+        calls = []
         spec = ProblemSpec(0.6, -0.4, 2.5, 50.0,
-                           integrand=lambda x: abs(x - 0.4871))
-        for rec in convergence_study(spec, N_list, 0.0):
+                           integrand=lambda x: calls.append(x)
+                           or abs(x - 0.4871))
+        records = convergence_study(spec, N_list, 0.0)
+        N_max = N_list[-1]
+        assert len(calls) == N_max + 1 + sum(n + 1 for n in N_list
+                                             if N_max % n)
+        for rec in records:
             assert rec.approx == ccf_integrate(spec, rec.N).value
 
     def test_cache_reuse_is_transparent(self):

@@ -29,6 +29,23 @@ class TestCCPoints:
     def test_numpy_integer_n_accepted(self):
         assert np.array_equal(cc_points(np.int64(4)), cc_points(4))
 
+    def test_divisor_grids_nest_bitwise(self):
+        # Every n | M: the nodes of n are every (M/n)-th node of M, bit for
+        # bit (48/16, 81/9 and 432/12 failed when j pi was rounded first).
+        pairs = 0
+        for M in [*range(1, 400), 1000, 2187, 3000, 3072, 4095, 4096]:
+            fine = cc_points(M)
+            for n in range(1, M + 1):
+                if M % n == 0:
+                    assert fine[::M // n].tobytes() == cc_points(n).tobytes()
+                    pairs += 1
+        assert pairs == 2568
+
+    @pytest.mark.parametrize("N", [1, 2, 16, 256, 4096])
+    def test_power_of_two_nodes_unchanged(self, N):
+        old = 0.5 + 0.5 * np.cos(np.arange(N + 1) * np.pi / N)
+        assert cc_points(N).tobytes() == old.tobytes()
+
 
 class TestInterpCoeffs:
     def test_constant(self):

@@ -134,6 +134,8 @@ class TestExitCodes:
         ("x:16:dyadic", "--N: bad bounds"),
         ("8,x", "--N: not an integer list"),
         ("0", "--N: values must be >= 1"),
+        # study ran the oracle for seconds before it refused this list
+        ("32,16", "--N: values must be strictly increasing"),
     ])
     def test_bad_n_is_1(self, capsys, N, message):
         code, out, err = run(["moments", *self.KERNEL, "--N", N], capsys)
@@ -161,6 +163,17 @@ class TestExitCodes:
             ["integrate", *self.KERNEL, "--f", spec, "--N", "8"], capsys)
         assert code == 1 and out == ""
         assert err.startswith(f"usage error: --f: {message}")
+
+    # An integrand that divides by zero at a node was a traceback, exit 1.
+    @pytest.mark.parametrize("argv", [
+        ["integrate", "--f", "abs_pow:k=-1", "--N", "64"],
+        ["integrate", "--f", "one_minus_x2_pow:p=-0.5", "--N", "16"],
+        ["study", "--f", "one_minus_x2_pow:p=-0.5", "--N", "8,16"],
+    ])
+    def test_raising_integrand_is_2(self, capsys, argv):
+        code, out, err = run([argv[0], *self.KERNEL, *argv[1:]], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("validation error: integrand raised")
 
     def test_non_finite_reference_is_2(self, capsys):
         code, out, err = run(
