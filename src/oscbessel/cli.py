@@ -12,16 +12,17 @@ import inspect
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 
 from . import criteria
 from .ccf import ccf_integrate, convergence_study, fit_rate
-from .chebfit import ChebyshevExpansion, cheb_interp_coeffs
+from .chebfit import ChebyshevExpansion, cc_points, cheb_interp_coeffs
 from .errors import DomainError, OscBesselError
 from .moments import moment_table
 from .oracle import OracleConfig, reference_integral
-from .problem import ProblemSpec
+from .problem import ProblemSpec, sample
 
 __all__ = ["parse_integrand", "parse_config", "execute", "emit_report",
            "main"]
@@ -93,12 +94,18 @@ def _build_user(path=""):
     if not path:
         raise UsageError("--f: user integrand needs path=<csv of samples>")
     try:
-        samples = np.loadtxt(path, delimiter=",", ndmin=1)
-    except OSError as exc:
+        with warnings.catch_warnings():
+            # loadtxt only warns of a file that holds no numbers.
+            warnings.simplefilter("error", UserWarning)
+            samples = np.loadtxt(path, delimiter=",", ndmin=2)
+    except (OSError, ValueError, UserWarning) as exc:
         raise UsageError(f"--f: cannot read {path}: {exc}") from None
+    if samples.shape[1] != 1:
+        raise UsageError(f"--f: {path} holds {samples.shape[1]} columns; "
+                         "the samples are one column")
     # Samples are f at cc_points(len-1); the interpolant stands in for f,
     # and re-sampled at those nodes it gives them back to rounding only.
-    return cheb_interp_coeffs(samples), ()
+    return cheb_interp_coeffs(samples[:, 0]), ()
 
 
 _REGISTRY = {
@@ -236,6 +243,9 @@ def _run_moments(ns: argparse.Namespace):
 def _run_study(ns: argparse.Namespace):
     reference = ns.reference
     if reference is None:
+        # An f that fails at a node is reported as such before the oracle,
+        # which would report it as its own failure to converge.
+        sample(ns.spec.integrand, cc_points(ns.N_list[-1]))
         reference, _ = reference_integral(
             ns.spec, ns.oracle, breakpoints=ns.breakpoints)
     records = convergence_study(ns.spec, ns.N_list, reference)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -449,25 +449,27 @@ _MAX_REFINE = 4
 _K_LO = 6
 
 
-@dataclass
 class BandedSystem:
-    """Recurrence rows m[i] over the unknowns M(6)..M(k_hi).
+    """The hybrid's recurrence rows over the unknowns M(_K_LO)..M(k_hi):
+    forward rows m = 2 .. k_switch-4 (the recursion up to M(k_switch)),
+    then Oliver rows m = k_switch-3+_KU .. k_hi-4+_KU.
 
-    ``coef`` holds c_d(m) over _OFFSETS as (hi, lo) arrays of shape
-    (7, dimension); ``known`` holds M(0)..M(k_hi+_KU) as rows hi, lo and
-    err, set at the boundary values and their estimates, zero elsewhere.
+    ``known`` holds M(0)..M(k_hi+_KU) as rows hi, lo and err, set at the
+    boundary values and their estimates, zero elsewhere: the seeds
+    M(0)..M(_K_LO-1) and, with Oliver rows, the end moments
+    M(k_hi+1)..M(k_hi+_KU).  Its length gives k_hi.  ``coef`` holds the
+    rows' c_d(m) over _OFFSETS as (hi, lo) arrays of shape (7, dimension).
     """
 
-    k_hi: int
-    m: np.ndarray
-    coef: tuple
-    known: np.ndarray
-    dimension: int = field(init=False)
-
-    def __post_init__(self):
-        self.dimension = self.k_hi - _K_LO + 1
+    def __init__(self, spec: ProblemSpec, k_switch: int, known: np.ndarray):
+        self.known = known
+        k_hi = known.shape[1] - _KU - 1
+        self.dimension = k_hi - _K_LO + 1
+        m = np.concatenate([np.arange(_K_LO - 4, k_switch - 3),
+                            np.arange(k_switch - 3 + _KU, k_hi - 3 + _KU)])
+        self.coef = _row_coefficients(spec, m)
         #: index |m + d| of every stencil entry, shape (7, dimension)
-        self.index = np.abs(self.m + np.array(_OFFSETS)[:, None])
+        self.index = np.abs(m + np.array(_OFFSETS)[:, None])
 
     def _residual(self, vh, vl):
         """(-sum_d c_d M(|m+d|) in double-double, largest |term|) per row,
@@ -509,7 +511,7 @@ class BandedSystem:
         if info > 0:
             raise SingularSystemError("zero pivot column", row=info - 1)
         vh, vl = self.known[:2].copy()
-        unknown = slice(_K_LO, self.k_hi + 1)
+        unknown = slice(_K_LO, _K_LO + n)
         for step in range(_MAX_REFINE + 1):
             r, scale = self._residual(vh, vl)
             delta, _ = dgbtrs(lu, _KL, _KU, r, piv)
@@ -531,22 +533,6 @@ class BandedSystem:
         sens = np.abs(dgbtrs(lu, _KL, _KU, rhs, piv)[0])
         err = sens[:, :-1] @ self.known[2][qs] + sens[:, -1] + np.abs(delta)
         return vh[unknown], err
-
-
-def _recurrence_system(spec: ProblemSpec, k_switch: int, k_hi: int,
-                       boundary: dict) -> BandedSystem:
-    """The hybrid's equations over the unknowns M(6..k_hi): forward rows
-    m = 2 .. k_switch-4 (the recursion up to M(k_switch)), then Oliver rows
-    m = k_switch-3+_KU .. k_hi-4+_KU.  ``boundary`` maps every index the
-    rows reach outside 6..k_hi to its (hi, lo, err): M(0)..M(5) and, with
-    Oliver rows, the end moments M(k_hi+1)..M(k_hi+_KU).
-    """
-    m = np.concatenate([np.arange(_K_LO - 4, k_switch - 3),
-                        np.arange(k_switch - 3 + _KU, k_hi - 3 + _KU)])
-    known = np.zeros((3, k_hi + _KU + 1))
-    for q, value in boundary.items():
-        known[:, q] = value
-    return BandedSystem(k_hi, m, _row_coefficients(spec, m), known)
 
 
 # ---------------------------------------------------------------------------
@@ -597,18 +583,13 @@ def moment_table(spec: ProblemSpec, N: int) -> MomentTable:
     DomainError before any 2F3 (see _quadratics and _starting_mpf).
     """
     N = as_size(N, 0)
-    if N > 5:
+    if N >= _K_LO:
         _quadratics(*spec.moment_key())     # raises where w is too large
-    pairs = _starting_mpf(spec, min(N + 1, 6))
+    pairs = _starting_mpf(spec, min(N + 1, _K_LO))
     vals = np.array([float(v) for v, _ in pairs])
     errs = np.array([e for _, e in pairs])
-    if N <= 5:
-        return MomentTable(spec, vals, ("closed-form",) * (N + 1),
-                           errs + np.spacing(np.abs(vals)) / 2)
-    k_switch = max(5, min(N, int(spec.omega // 2)))
-    boundary = {q: (x, float(v - x), e + 2.0 ** -104 * abs(x))
-                for q, (x, (v, e)) in enumerate(zip(vals.tolist(), pairs))}
-    k_hi = k_switch
+    k_switch = max(_K_LO - 1, min(N, int(spec.omega // 2)))
+    k_hi, ends = k_switch, {}
     if N > k_switch:
         # The window's upper edge is pushed out to where the endpoint
         # expansion is trustworthy, and further while an end moment is
@@ -626,12 +607,18 @@ def moment_table(spec: ProblemSpec, N: int) -> MomentTable:
         else:
             raise AccuracyError(f"end moments of {spec.moment_key()} stalled "
                                 f"at j >= {min(ends)}", err_est=max(rejected))
-        boundary.update((j, (v, 0.0, e)) for j, (v, e) in ends.items())
-    system = _recurrence_system(spec, k_switch, k_hi, boundary)
-    hi, err = system.solve()
-    vals = np.concatenate([vals, hi[: N - 5]])
-    errs = np.concatenate([errs, err[: N - 5]])
-    meth = (("closed-form",) * 6 + ("forward",) * (k_switch - 5)
+    if N >= _K_LO:
+        known = np.zeros((3, k_hi + _KU + 1))
+        known[:, :_K_LO] = np.transpose(
+            [(x, float(v - x), e + 2.0 ** -104 * abs(x))
+             for x, (v, e) in zip(vals.tolist(), pairs)])
+        for j, (v, e) in ends.items():
+            known[:, j] = v, 0.0, e
+        hi, err = BandedSystem(spec, k_switch, known).solve()
+        vals = np.concatenate([vals, hi[: N + 1 - _K_LO]])
+        errs = np.concatenate([errs, err[: N + 1 - _K_LO]])
+    meth = (("closed-form",) * len(pairs)
+            + ("forward",) * (k_switch + 1 - _K_LO)
             + ("oliver",) * (N - k_switch))
     return MomentTable(spec, vals, meth, errs + np.spacing(np.abs(vals)) / 2)
 

@@ -22,7 +22,7 @@ import numpy as np
 from conftest import record_criterion
 from oscbessel import criteria
 from oscbessel.ccf import ConvergenceRecord, ccf_integrate, fit_rate
-from oscbessel.moments import _recurrence_system, moment_table
+from oscbessel.moments import _KU, BandedSystem, moment_table
 from oscbessel.oracle import (OracleConfig, reference_integral,
                               reference_moments)
 from oscbessel.problem import ProblemSpec
@@ -106,9 +106,9 @@ def test_criterion_05_stability_witness():
     # the hybrid's system with k_switch = k_hi = 200 has no Oliver rows.
     spec, cfg = ProblemSpec(0.2, 0.4, 0.0, 20.0), OracleConfig(rel_tol=1e-12)
     start = moment_table(spec, 5).values
-    boundary = {q: (v, 0.0, 0.0) for q, v in enumerate(start.tolist())}
-    fwd = np.concatenate(
-        [start, _recurrence_system(spec, 200, 200, boundary).solve()[0]])
+    known = np.zeros((3, 200 + _KU + 1))
+    known[0, :len(start)] = start
+    fwd = np.concatenate([start, BandedSystem(spec, 200, known).solve()[0]])
     worst_fwd = max(abs(fwd[k] - ref) / max(abs(ref), err)
                     for k, (ref, err)
                     in reference_moments(spec, range(201), cfg).items())

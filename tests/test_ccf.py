@@ -235,6 +235,20 @@ class TestTableCache:
         assert specs[-1].moment_key() in ccf._TABLE_CACHE
         clear_moment_cache()
 
+    def test_keeps_a_larger_table_stored_meanwhile(self, monkeypatch):
+        # Another caller stores N = 128 while this one builds N = 64.
+        spec = ProblemSpec(0.2, 0.4, 0.0, 20.0)
+        larger = moment_table(spec, 128)
+
+        def racing(spec, N):
+            ccf._TABLE_CACHE[spec.moment_key()] = larger
+            return moment_table(spec, N)
+        clear_moment_cache()
+        monkeypatch.setattr(ccf, "moment_table", racing)
+        assert ccf._cached_table(spec, 64) is larger
+        assert ccf._TABLE_CACHE[spec.moment_key()] is larger
+        clear_moment_cache()
+
 
 class TestFitRate:
     @staticmethod

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -169,6 +170,9 @@ class TestExitCodes:
         ["integrate", "--f", "abs_pow:k=-1", "--N", "64"],
         ["integrate", "--f", "one_minus_x2_pow:p=-0.5", "--N", "16"],
         ["study", "--f", "one_minus_x2_pow:p=-0.5", "--N", "8,16"],
+        # x = 0.5 is a node of N = 64; the oracle's Gauss-Kronrod nodes
+        # miss it, and it would fail to converge first.
+        ["study", "--f", "abs_pow:k=-1", "--N", "8,64"],
     ])
     def test_raising_integrand_is_2(self, capsys, argv):
         code, out, err = run([argv[0], *self.KERNEL, *argv[1:]], capsys)
@@ -325,6 +329,19 @@ class TestUserIntegrand:
              "--omega", "20", "--N", "8", "--f", "user:path=/nope.csv"],
             capsys)
         assert code == 1
+
+    @pytest.mark.parametrize("text", ["abc\n", "", "1.0,2.0\n3.0,4.0\n"])
+    def test_malformed_file_is_usage_error(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(
+                ["integrate", "--alpha", "0.2", "--beta", "0.4", "--nu", "0",
+                 "--omega", "20", "--N", "1", "--f", f"user:path={path}"],
+                capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("usage error: --f:")
 
 
 def test_validate_passes(capsys):

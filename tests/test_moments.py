@@ -880,6 +880,11 @@ class TestRecurrenceResidual:
                           err_est=table.err_est)
         assert recurrence_residual(bad, 20) >= 1e-3
 
+    def test_all_zero_stencil_scores_zero(self):
+        table = MomentTable(ProblemSpec(0.2, 0.4, 0.0, 20.0), np.zeros(17),
+                            ("closed-form",) * 17, np.zeros(17))
+        assert recurrence_residual(table, 8) == 0.0
+
     def test_index_bounds(self):
         table = moment_table(ProblemSpec(0.2, 0.4, 0.0, 20.0), 16)
         with pytest.raises(IndexError):
