@@ -244,8 +244,12 @@ def _run_study(ns: argparse.Namespace):
     reference = ns.reference
     if reference is None:
         # An f that fails at a node is reported as such before the oracle,
-        # which would report it as its own failure to converge.
-        sample(ns.spec.integrand, cc_points(ns.N_list[-1]))
+        # which would report it as its own failure to converge: on N_max's
+        # grid and on each grid that is not nested in it.
+        N_max = ns.N_list[-1]
+        for n in ns.N_list:
+            if n == N_max or N_max % n:
+                sample(ns.spec.integrand, cc_points(n))
         reference, _ = reference_integral(
             ns.spec, ns.oracle, breakpoints=ns.breakpoints)
     records = convergence_study(ns.spec, ns.N_list, reference)

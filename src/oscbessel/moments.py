@@ -10,7 +10,8 @@ the expansion stalls, the far edge of the window is moved outward; the
 oracle never supplies a boundary value.  The
 nine-term recurrence ties M(k-4)..M(k+4) with the offsets +-3 absent; the
 symmetry M(-j) = M(j) resolves every negative index.  M(0)..M(3) come
-from four closed forms (Gamma and a 256-bit 2F3) and M(4), M(5) from the
+from four closed forms (Gamma times a 2F3, whose series is summed in one
+integer pass below mpmath's asymptotic switch) and M(4), M(5) from the
 recurrence rows m = 0, 1 folded by that symmetry, in 192-bit mpmath; both
 recurrences form one float64 banded LU system, refined with double-double
 (hi + lo) residuals.  Both endpoint jets expand the Bessel factor through
@@ -154,26 +155,54 @@ def _row_coefficients(spec: ProblemSpec, m):
 # Closed-form moments
 # ---------------------------------------------------------------------------
 
-def power_moment(a: float, b: float, nu: float, omega: float):
-    """(value, err_est) of I(a,b,nu,w) = int_0^1 x^a (1-x)^b J_nu(w x) dx.
+#: Below this |z| = w^2/4 mpmath's 2F3 only sums its series (it tries its
+#: asymptotic expansion from mag(z) > 19 on), and power_moment sums the
+#: series itself; from here on it calls the 2F3.
+_SERIES_ONLY = 2 ** 19
 
-    Gamma prefactor times 2F3 evaluated at z = -w^2/4, an mpf at the
-    pipeline precision; valid for a + nu > -1, b > -1 and w >= 0.  err_est,
-    a float, covers the 2F3's 2^-192 relative bound and the rounding of
-    the product at the pipeline precision.
+#: Relative error (bits) the series pass must reach before its sums are
+#: scaled, and the working precision of the scale K.
+_SERIES_BITS = 200
+_K_PREC = _PIPE_PREC + 32
+
+
+def power_moment(a: float, b: float, nu: float, omega: float,
+                 count: int = 1):
+    """[(value, err_est)] of I(a+i,b,nu,w) = int_0^1 x^(a+i) (1-x)^b
+    J_nu(w x) dx for i = 0..count-1.
+
+    Each value is a Gamma prefactor times a 2F3 at z = -w^2/4, an mpf at
+    the pipeline precision; valid for a + nu > -1, b > -1, nu >= 0 and
+    w >= 0.  Below |z| = 2^19 all count values come from one integer pass
+    over the series (see _series_closed_forms); from there on each is one
+    mpmath 2F3.  err_est, a float, bounds the value's error.
     """
-    if not float(a) + float(nu) > -1.0:
-        raise DomainError(f"need a + nu > -1, got {float(a) + float(nu)}")
-    if not float(b) > -1.0:
+    params = a, b, nu, omega = [float(v) for v in (a, b, nu, omega)]
+    if not a + nu > -1.0:
+        raise DomainError(f"need a + nu > -1, got {a + nu}")
+    if not b > -1.0:
         raise DomainError(f"need b > -1, got {b}")
-    if not float(omega) >= 0.0:
+    if not nu >= 0.0:
+        raise DomainError(f"need nu >= 0, got {nu}")
+    if not omega >= 0.0:
         # (w/2)^nu of a negative w is complex.
         raise DomainError(f"need omega >= 0, got {omega}")
+    if (all(map(math.isfinite, params))
+            and Fraction(omega) ** 2 < 4 * _SERIES_ONLY):
+        return _series_closed_forms(*params, count)
+    return [_hyp2f3_closed_form(*params, i) for i in range(count)]
+
+
+def _hyp2f3_closed_form(a, b, nu, omega, shift: int):
+    """(value, err_est) of I(a+shift,b,nu,w) from one 256-bit 2F3; err_est
+    covers the 2F3's 2^-192 relative bound and the rounding of the product
+    at the pipeline precision."""
     # Parameter combinations are formed in mpf: double-rounded sums like
     # (a+nu+1)/2 shift the result at the 1e-16 level, which the power-basis
     # cancellation downstream cannot afford.
     with mp.workprec(_PIPE_PREC):
         am, bm, nm, wm = (mp.mpf(v) for v in (a, b, nu, omega))
+        am += shift
         args = ((am + nm + 1) / 2, (am + nm + 2) / 2,
                 nm + 1, (am + bm + nm + 2) / 2, (am + bm + nm + 3) / 2,
                 -(wm * wm) / 4)
@@ -195,6 +224,112 @@ def power_moment(a: float, b: float, nu: float, omega: float):
     return val, err
 
 
+def _linear_product(factors):
+    """Integer coefficients, lowest degree first, of the product of the
+    linear polynomials c + s p given as (c, s) pairs."""
+    out = [1]
+    for c, s in factors:
+        out = [c * hi + s * lo for hi, lo in zip(out + [0], [0] + out)]
+    return out
+
+
+def _alternating_sums(wp: int, A: Fraction, nu1: Fraction, C: Fraction,
+                      z: Fraction):
+    """(S_0..S_3, P) with S_j = sum_p p^j U_p over the fixed-point terms
+    U_0 = 2^wp, U_p+1 = floor(U_p r_p), where r_p = z (A+2p)(A+2p+1) /
+    ((p+1)(nu1+p)(C+2p+3)(C+2p+4)) is formed exactly in integers; P is the
+    index of the first zero term, after which every term is 0."""
+    d = max(x.denominator for x in (A, nu1, C))     # a power of two
+    x, n, c = (int(v * d) for v in (A, nu1, C + 3))
+    num0, den0 = z.numerator * d, z.denominator
+    u, p = 1 << wp, 0
+    s0 = s1 = s2 = s3 = 0
+    while u:
+        t1 = p * u
+        t2 = p * t1
+        s0 += u
+        s1 += t1
+        s2 += t2
+        s3 += p * t2
+        p += 1
+        u = u * (num0 * x * (x + d)) // (den0 * p * n * c * (c + d))
+        x += 2 * d
+        n += d
+        c += 2 * d
+    return (s0, s1, s2, s3), p
+
+
+def _series_closed_forms(a: float, b: float, nu: float, w: float,
+                         count: int):
+    """(value, err_est) of I(a+i,b,nu,w), i = 0..count-1, from one integer
+    pass over the series, for w^2/4 < 2^19.
+
+    With A = a+nu+1 and C = a+b+nu+2, I(a+i) = K sum_p u_p q_i(p), where
+    u_0 = 1, u_p+1/u_p = -(w^2/4) (A+2p)(A+2p+1) / ((p+1)(nu+1+p)
+    (C+2p+3)(C+2p+4)), q_i(p) = (A+2p)_i (C+2p+i)_(3-i) and K =
+    Gamma(b+1) Gamma(A) (w/2)^nu / (Gamma(nu+1) Gamma(C+3)).  The ratio is
+    an exact rational of the (exact double) parameters, so the terms are
+    summed in fixed point at wp bits once, with the cubics q_i expanded
+    over S_j = sum_p p^j u_p, j <= 3: one 2F3 and its first three
+    theta-derivatives (the rational fast path of Johansson, ACM TOMS 45,
+    2019).
+
+    Error bound: each floor division errs by under one unit 2^-wp, and the
+    error it starts at term k propagates into sum i as that unit times the
+    normalized tail tau_k = sum_p>=k q_i(p) u_p / u_k.  K u_k tau_k is the
+    integral of x^(a+i) (1-x)^b (w x/2)^nu times the remainder, after k
+    terms, of the series of J_nu(w x) / (w x/2)^nu.  By Poisson's integral
+    (nu > -1/2) that remainder is a weighted mean of the Taylor remainder
+    of cos, so it is at most its first term in modulus, and
+    |tau_k| <= q_i(k).  The fixed-point terms reach an exact 0 at some
+    index P and stay 0, so with the truncation included sum i is off by at
+    most sum_k<=P q_i(k) <= P q_i(P) units.  While that exceeds
+    2^-_SERIES_BITS of a sum, the pass repeats with the working precision
+    raised by the shortfall.  The first wp covers the cancellation that
+    |I| <= B(a+1, b+1) implies against the first term.  err_est adds the
+    rounding of K (16 ulps at _K_PREC) and of the product (half an ulp at
+    the pipeline precision).
+    """
+    a_, b_, n_, w_ = map(Fraction, (a, b, nu, w))
+    A, C = a_ + n_ + 1, a_ + b_ + n_ + 2
+    # d^3 q_i(p) as cubics in p with integer coefficients
+    d = max(A.denominator, C.denominator)           # a power of two
+    rise_a = [(int((A + k) * d), 2 * d) for k in range(3)]
+    rise_c = [(int((C + k) * d), 2 * d) for k in range(3)]
+    cubics = [_linear_product(rise_a[:i] + rise_c[i:]) for i in range(count)]
+    cancel = 0.0
+    if w > 0.0:
+        lg = math.lgamma
+        cancel = (nu * math.log(w / 2.0) + lg(a + nu + 1.0) - lg(nu + 1.0)
+                  - lg(a + b + nu + 2.0) - lg(a + 1.0) + lg(a + b + 2.0))
+    # A first wp that usually suffices: the cancellation, and P q_i(P) /
+    # q_i(0) taken as (2w + 64)^4 for the P ~ 1.5 w terms of the pass.
+    wp = _SERIES_BITS + 32 + math.ceil(max(cancel, 0.0) / math.log(2.0)
+                                       + 4.0 * math.log2(2.0 * w + 64.0))
+    while True:
+        sums, P = _alternating_sums(wp, A, n_ + 1, C, -w_ * w_ / 4)
+        tots = [sum(c * s for c, s in zip(q, sums)) for q in cubics]
+        bounds = [P * sum(c * P ** j for j, c in enumerate(q)) for q in cubics]
+        short = max((e.bit_length() + _SERIES_BITS + 1 - abs(t).bit_length()
+                     for t, e in zip(tots, bounds)), default=0)
+        if short <= 0:
+            break
+        wp += short + 16
+    with mp.workprec(_K_PREC):
+        am, bm, nm, wm = (mp.mpf(v) for v in (a, b, nu, w))
+        pref = (mp.gamma(bm + 1) * mp.gamma(am + nm + 1) * (wm / 2) ** nm
+                / (mp.gamma(nm + 1) * mp.gamma(am + bm + nm + 5)))
+        exponent = -wp - 3 * (d.bit_length() - 1)
+        sums = [mp.mpf((t, exponent)) for t in tots]
+    out = []
+    for t, e, s in zip(tots, bounds, sums):
+        with mp.workprec(_PIPE_PREC):
+            val = pref * s
+        rel = 2.0 ** -_PIPE_PREC + 2.0 ** (4 - _K_PREC) + e / (abs(t) - e)
+        out.append((val, rel * float(abs(val))))
+    return out
+
+
 #: Integer coefficients c_j of T_k*(x) = sum_j c_j x^(k-j), k = 0..3.
 _SHIFTED_CHEB = ((1,), (2, -1), (8, -8, 1), (32, -48, 18, -1))
 
@@ -214,10 +349,10 @@ def _starting_mpf(spec: ProblemSpec, count: int):
     """(mpf value, err_est) pairs for M(0)..M(count-1).
 
     M(0)..M(3) come from the power basis over the four closed forms
-    I(alpha + i, beta), i = 0..3.  Each later M(k) is solved from
-    recurrence row m = k-4 with its exact rational coefficients, folded by
-    M(-j) = M(j); at m = 0 the offsets -4 and +4 both land on M(4), so its
-    lead is c_-4(0) + c_4(0) = w^2/8.  Values keep the 192-bit precision:
+    I(alpha + i, beta), i = 0..3, of one power_moment call.  Each later
+    M(k) is solved from recurrence row m = k-4 with its exact rational
+    coefficients, folded by M(-j) = M(j); at m = 0 the offsets -4 and +4
+    both land on M(4), so its lead is c_-4(0) + c_4(0) = w^2/8.  Values keep the 192-bit precision:
     the boundary-value solve downstream amplifies seed rounding, so they
     must not be rounded to double prematurely.  err_est bounds the mpf
     value's error only; a solved entry inherits its inputs' errors times
@@ -239,10 +374,7 @@ def _starting_mpf(spec: ProblemSpec, count: int):
         raise DomainError(f"omega = {spec.omega}: the rows that give M(4) "
                           "and M(5) overflow a double over their lead w^2/8")
     # The power-basis coefficients alternate in sign and grow like 4^k.
-    with mp.workprec(_PIPE_PREC):
-        shifted = [mp.mpf(spec.alpha) + i for i in range(min(count, 4))]
-    ivals = [power_moment(ai, spec.beta, spec.nu, spec.omega)
-             for ai in shifted]
+    ivals = power_moment(*spec.moment_key(), min(count, 4))
     out = [_combine((c, ivals[k - j]) for j, c
                     in enumerate(_SHIFTED_CHEB[k]))
            for k in range(len(ivals))]
@@ -470,6 +602,19 @@ class BandedSystem:
         self.coef = _row_coefficients(spec, m)
         #: index |m + d| of every stencil entry, shape (7, dimension)
         self.index = np.abs(m + np.array(_OFFSETS)[:, None])
+        #: which stencil entries are unknowns, not boundary values
+        self.inside = (self.index >= _K_LO) & (self.index <= k_hi)
+
+    def band(self) -> np.ndarray:
+        """The hi parts of the coefficients on unknowns in LAPACK's banded
+        layout, rows 2 _KL + _KU + 1.  Each (row, unknown) pair occurs once
+        in the stencil (indices collide only in rows m = 2, 3, on seeds),
+        so the entries are assigned, not accumulated."""
+        rows = np.nonzero(self.inside)[1]
+        cols = self.index[self.inside] - _K_LO
+        ab = np.zeros((2 * _KL + _KU + 1, self.dimension))
+        ab[_KL + _KU + rows - cols, cols] = self.coef[0][self.inside]
+        return ab
 
     def _residual(self, vh, vl):
         """(-sum_d c_d M(|m+d|) in double-double, largest |term|) per row,
@@ -501,13 +646,7 @@ class BandedSystem:
         from scipy.linalg.lapack import dgbtrf, dgbtrs
 
         n = self.dimension
-        rows = np.broadcast_to(np.arange(n), self.index.shape)
-        cols = self.index - _K_LO
-        inside = (cols >= 0) & (cols < n)
-        ab = np.zeros((2 * _KL + _KU + 1, n))
-        np.add.at(ab, (_KL + _KU + rows[inside] - cols[inside], cols[inside]),
-                  self.coef[0][inside])
-        lu, piv, info = dgbtrf(ab, _KL, _KU)
+        lu, piv, info = dgbtrf(self.band(), _KL, _KU)
         if info > 0:
             raise SingularSystemError("zero pivot column", row=info - 1)
         vh, vl = self.known[:2].copy()
@@ -526,9 +665,10 @@ class BandedSystem:
             raise AccuracyError(
                 f"row {i} residual {abs(r[i]):.3e} exceeds 1e-10 of scale",
                 err_est=float(abs(r[i]) / scale[i]))
-        qs, col = np.unique(self.index[~inside], return_inverse=True)
+        outside = ~self.inside
+        qs, col = np.unique(self.index[outside], return_inverse=True)
         rhs = np.zeros((n, qs.size + 1))
-        np.add.at(rhs, (rows[~inside], col), -self.coef[0][~inside])
+        np.add.at(rhs, (np.nonzero(outside)[1], col), -self.coef[0][outside])
         rhs[:, -1] = 2.0 ** -100 * scale
         sens = np.abs(dgbtrs(lu, _KL, _KU, rhs, piv)[0])
         err = sens[:, :-1] @ self.known[2][qs] + sens[:, -1] + np.abs(delta)

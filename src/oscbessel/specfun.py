@@ -2,11 +2,7 @@
 
 The Taylor jet of the entire part of Bessel J of real order and the
 generalized hypergeometric series 2F3.  Bessel J, 1/Gamma and 2F3 come
-from mpmath at fixed working precisions; there is no hand-written series.
-Below |z| = 2^19, where mpmath only sums the 2F3 series, its parameters go
-in as exact rationals (mpmath's own ``to_rational`` of the mpf), which mpmath
-sums in integer arithmetic; from there on they stay mpf for its
-asymptotic expansion.
+from mpmath at fixed working precisions.
 The jet's Bessel orders nu..nu+order follow from two mpmath values by the
 downward three-term recurrence.  A jet is a plain numpy array of Taylor
 coefficients, with a truncated product, a real power and a composition.
@@ -18,7 +14,7 @@ from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
-from mpmath.libmp import NoConvergence, to_rational
+from mpmath.libmp import NoConvergence
 
 from .errors import ConvergenceError, DomainError, PoleError
 
@@ -135,37 +131,28 @@ def bessel_entire_jet(nu: float, w: float, order: int) -> np.ndarray:
 #: Working precision (bits) of the 2F3.
 _HYP_PREC = 256
 
-#: Below this |z| mpmath's 2F3 only sums the series (it tries its
-#: asymptotic expansion from mag(z) > 19 on).
-_SERIES_ONLY = 2 ** 19
-
 
 def hyp2f3(a1, a2, b1, b2, b3, z) -> ExtendedReal:
     """2F3(a1, a2; b1, b2, b3; z) from one mpmath evaluation at 256 bits.
 
     mpmath sums the series with its own cancellation guard and switches to
-    the asymptotic expansion at |z| >= 2^19.  Below that switch the five
-    parameters go in as exact (p, q) integer pairs, so mpmath sums the same
-    series with integer multiplies and divides instead of full-precision
-    fixed-point products; from the switch on they stay mpf, on which the
-    expansion runs faster.  A lower parameter is a pole iff it is exactly
-    an integer <= 0.  err_est is 2^-192 |value|: on a 720-point grid
-    of moment-shaped arguments (omega 1e-3 to 1e5, across the switch) the
-    value is within 2^-256 of a 600-bit one.  Non-finite input raises
-    DomainError; mpmath's failures to converge raise ConvergenceError.
+    the asymptotic expansion at |z| >= 2^19.  A lower parameter is a pole
+    iff it is exactly an integer <= 0.  err_est is 2^-192 |value|: on a
+    720-point grid of moment-shaped arguments (omega 1e-3 to 1e5, across
+    the switch) the value is within 2^-256 of a 600-bit one.  Non-finite
+    input raises DomainError; mpmath's failures to converge raise
+    ConvergenceError.
     """
     args = [mp.convert(v) for v in (a1, a2, b1, b2, b3, z)]
     if not all(mp.isfinite(v) for v in args):
         raise DomainError(f"2F3 needs finite input, got {args}")
     *params, z = args
-    ratios = [to_rational(v._mpf_) for v in params]
-    for b, (p, q) in zip(params[2:], ratios[2:]):
-        if q == 1 and p <= 0:
+    for b in params[2:]:
+        if mp.isint(b) and b <= 0:
             raise PoleError(f"lower parameter {b} is a nonpositive integer")
     with mp.workprec(_HYP_PREC):
         try:
-            value = mp.hyp2f3(*(ratios if abs(z) < _SERIES_ONLY else params),
-                              z)
+            value = mp.hyp2f3(*params, z)
         except (NoConvergence, ValueError) as exc:
             raise ConvergenceError(f"2F3 at z={float(z):.6g}: {exc}") from exc
     return ExtendedReal(value, _HYP_PREC, 2.0 ** -192 * float(abs(value)))

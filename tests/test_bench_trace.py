@@ -32,12 +32,22 @@ def traced_build(spans, kernel, N):
 
 
 def test_traced_table_build(spans):
-    m = traced_build(spans, (0.2, 0.4, 0.0, 20.0), 256).metrics(1)
+    # Below mpmath's asymptotic switch one integer pass gives all four
+    # closed forms, inside one closed-form span and with no 2F3 span.
+    tracer = traced_build(spans, (0.2, 0.4, 0.0, 20.0), 256)
+    m = tracer.metrics(1)
     assert m["moments.table.calls"] == 1
-    assert m["specfun.hyp2f3.calls"] == 4
-    assert m["specfun.hyp2f3.max_bits"] == 256
+    assert [s.name for s in tracer.spans].count("moments.closed_form") == 1
+    assert m["specfun.hyp2f3.calls"] == 0
+    assert m["specfun.hyp2f3.max_bits"] == 0
     assert m["moments.oliver.rows"] > 0
     assert m["moments.end_asym.ok_ratio"] == 1
+    # From the switch on, each closed form is one 256-bit mpmath 2F3.
+    tracer = traced_build(spans, (0.2, 0.4, 0.0, 2000.0), 256)
+    m = tracer.metrics(1)
+    assert [s.name for s in tracer.spans].count("moments.closed_form") == 1
+    assert m["specfun.hyp2f3.calls"] == 4
+    assert m["specfun.hyp2f3.max_bits"] == 256
 
 
 @pytest.mark.parametrize("kernel, N, windows", [

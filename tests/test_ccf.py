@@ -157,7 +157,7 @@ class TestConvergenceStudy:
     def test_constant_integrand_floor(self):
         from oscbessel.moments import power_moment
         spec = ProblemSpec(0.2, 0.4, 0.0, 20.0, integrand=lambda x: 1.0)
-        reference = float(power_moment(0.2, 0.4, 0.0, 20.0)[0])
+        reference = float(power_moment(0.2, 0.4, 0.0, 20.0)[0][0])
         for rec in convergence_study(spec, [4, 8, 16], reference):
             q = ccf_integrate(spec, rec.N)
             assert rec.abs_err <= max(q.moment_err_est,

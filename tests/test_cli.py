@@ -173,6 +173,8 @@ class TestExitCodes:
         # x = 0.5 is a node of N = 64; the oracle's Gauss-Kronrod nodes
         # miss it, and it would fail to converge first.
         ["study", "--f", "abs_pow:k=-1", "--N", "8,64"],
+        # x = 0.5 is node 5 of N = 10, which is not nested in N = 15.
+        ["study", "--f", "abs_pow:k=-1", "--N", "10,15"],
     ])
     def test_raising_integrand_is_2(self, capsys, argv):
         code, out, err = run([argv[0], *self.KERNEL, *argv[1:]], capsys)

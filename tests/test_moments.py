@@ -266,14 +266,14 @@ class TestRowCoefficients:
 
 class TestPowerMoment:
     def test_against_oracle(self):
-        got = float(power_moment(0.0, 0.0, 0.0, 1.0)[0])
+        got = float(power_moment(0.0, 0.0, 0.0, 1.0)[0][0])
         ref, _ = reference_moment(ProblemSpec(0.0, 0.0, 0.0, 1.0), 0, CFG)
         assert abs(got - ref) <= 1e-12 * abs(ref)
 
     def test_small_omega_beta_function(self):
         beta = math.gamma(1.2) * math.gamma(1.4) / math.gamma(2.6)
         for w in (0.0, 1e-3):
-            got = float(power_moment(0.2, 0.4, 0.0, w)[0])
+            got = float(power_moment(0.2, 0.4, 0.0, w)[0][0])
             assert abs(got - beta) <= 1e-6 * beta, w
 
     @pytest.mark.parametrize("a, b, nu", [(0.2, 0.4, 0.0),
@@ -281,17 +281,37 @@ class TestPowerMoment:
                                           (0.6, -0.4, 7.0)])
     def test_err_est_bounds_error(self, a, b, nu):
         for w in (20.0, 1000.0, 2000.0, 1e4, 1e5):
-            value, err_est = power_moment(a, b, nu, w)
+            [(value, err_est)] = power_moment(a, b, nu, w)
             with mp.workprec(600):
                 err = abs(value - power_moment_600(a, b, nu, w))
             assert err <= err_est, (w, float(err), err_est)
+
+    @pytest.mark.parametrize("a, b, nu, omegas", [
+        *[(*abn, (1e-3, 1.0, 20.0, 200.0, 1000.0, 1447.0)) for abn in (
+            (0.2, 0.4, 0.0), (-0.8, -0.9, 2.5), (0.6, -0.4, 7.0),
+            (-0.5, -0.5, 1.0))],
+        # (w/2)^nu overflows a double, and the sum cancels ~460 bits.
+        (0.2, 0.4, 150.0, (1000.0,))])
+    def test_one_pass_closed_forms_against_600_bits(self, a, b, nu, omegas):
+        # Below the asymptotic switch the four shifted closed forms come
+        # from one integer pass; each is within its err_est of the 600-bit
+        # closed form, and err_est is within 2^-188 of the value.
+        for w in omegas:
+            got = power_moment(a, b, nu, w, 4)
+            with mp.workprec(600):
+                for i, (value, err_est) in enumerate(got):
+                    err = abs(value - power_moment_600(mp.mpf(a) + i, b, nu,
+                                                       w))
+                    assert math.isfinite(err_est), (w, i)
+                    assert err <= err_est <= 2.0 ** -188 * abs(value), (
+                        w, i, float(err), err_est)
 
     @pytest.mark.parametrize("nu, w", [(20.0, 1e17), (7.0, 1e46),
                                        (2.5, 1e126), (2.0, 1e156)])
     def test_err_est_finite_where_the_prefactor_overflows(self, nu, w):
         # (w/2)^nu overflows a double where the 2F3's err_est underflows
         # to 0, and err_est read inf * 0 = NaN.
-        value, err_est = power_moment(0.2, 0.4, nu, w)
+        [(value, err_est)] = power_moment(0.2, 0.4, nu, w)
         assert math.isfinite(err_est)
         assert err_est >= 2.0 ** -192 * abs(float(value)) > 0.0
         table = moment_table(ProblemSpec(0.2, 0.4, nu, w), 5)
@@ -311,14 +331,14 @@ class TestStartingMoments:
     def test_k0_is_power_moment(self):
         spec = ProblemSpec(0.2, 0.4, 1.0, 30.0)
         start = moment_table(spec, 0).values
-        want = float(power_moment(0.2, 0.4, 1.0, 30.0)[0])
+        want = float(power_moment(0.2, 0.4, 1.0, 30.0)[0][0])
         assert start[0] == pytest.approx(want, rel=1e-14)
 
     def test_k1_linear_combination(self):
         spec = ProblemSpec(0.2, 0.4, 1.0, 30.0)
         start = moment_table(spec, 1).values
-        want = (2.0 * float(power_moment(1.2, 0.4, 1.0, 30.0)[0])
-                - float(power_moment(0.2, 0.4, 1.0, 30.0)[0]))
+        want = (2.0 * float(power_moment(1.2, 0.4, 1.0, 30.0)[0][0])
+                - float(power_moment(0.2, 0.4, 1.0, 30.0)[0][0]))
         assert start[1] == pytest.approx(want, rel=1e-13)
 
     def test_against_oracle(self):
@@ -782,15 +802,15 @@ class TestMomentTable:
                          for p in range(_MAX_PUSH + 1)]
 
     def test_call_structure(self, monkeypatch):
-        # Four 2F3 closed forms seed the table, and the endpoint jets are
-        # built once for both end moments.
-        calls = {"power_moment": 0, "_smooth_jet": 0}
+        # One call gives the four closed forms that seed the table, and the
+        # endpoint jets are built once for both end moments.
+        calls = {"power_moment": [], "_smooth_jet": []}
 
         def counted(name):
             original = getattr(moments, name)
 
             def wrapper(*args, **kwargs):
-                calls[name] += 1
+                calls[name].append(args)
                 return original(*args, **kwargs)
 
             monkeypatch.setattr(moments, name, wrapper)
@@ -798,10 +818,13 @@ class TestMomentTable:
         for name in calls:
             counted(name)
         moment_table(ProblemSpec(0.2, 0.4, 0.0, 20.0), 256)
-        assert calls == {"power_moment": 4, "_smooth_jet": 2}
+        assert calls["power_moment"] == [(0.2, 0.4, 0.0, 20.0, 4)]
+        assert len(calls["_smooth_jet"]) == 2
 
     def test_one_mpmath_2f3_per_closed_form(self, monkeypatch):
-        # Each of the four closed forms evaluates its 2F3 once.
+        # Below |z| = w^2/4 = 2^19 (w ~ 1448.15) the four closed forms come
+        # from one integer pass and call no mpmath 2F3; from there on each
+        # evaluates its 2F3 once.
         calls = []
         original = mp.hyp2f3
 
@@ -810,8 +833,30 @@ class TestMomentTable:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(mp, "hyp2f3", counted)
-        moment_table(ProblemSpec(0.2, 0.4, 0.0, 20.0), 256)
-        assert len(calls) == 4
+        for omega, hyp_calls in ((20.0, 0), (1448.0, 0), (1449.0, 4),
+                                 (2000.0, 4)):
+            calls.clear()
+            moment_table(ProblemSpec(0.2, 0.4, 0.0, omega), 256)
+            assert len(calls) == hyp_calls, omega
+
+    def test_band_matches_accumulated_entries(self):
+        # Forward rows m = 2..6 (k_switch = 10) and Oliver rows up to
+        # k_hi = 256: assigning each in-band entry once gives the band that
+        # accumulating every stencil entry with np.add.at gave.
+        spec = ProblemSpec(0.2, 0.4, 0.0, 20.0)
+        system = moments.BandedSystem(spec, 10, np.zeros((3, 259)))
+        n = system.dimension
+        rows = np.broadcast_to(np.arange(n), system.index.shape)
+        cols = system.index - moments._K_LO
+        inside = (cols >= 0) & (cols < n)
+        kl, ku = moments._KL, moments._KU
+        want = np.zeros((2 * kl + ku + 1, n))
+        np.add.at(want, (kl + ku + rows[inside] - cols[inside],
+                         cols[inside]), system.coef[0][inside])
+        assert np.array_equal(system.band(), want)
+        assert np.count_nonzero(want[:kl]) == 0     # LU fill-in rows
+        assert np.count_nonzero(want[kl + ku + 1:, :5]) > 0    # forward
+        assert np.count_nonzero(want[kl:kl + ku, 10:]) > 0     # Oliver
 
     def test_zero_pivot_raises_singular_system(self, monkeypatch):
         # With every recurrence coefficient zero, LAPACK's banded LU meets

@@ -220,30 +220,12 @@ class TestHyp2f3:
         with pytest.raises(DomainError):
             hyp2f3(*args)
 
-    @pytest.mark.parametrize("z, kind", [
-        (-(2.0 ** 19 - 2.0 ** -30), tuple), (-(2.0 ** 19), mp.mpf),
-        (-(2.0 ** 22), mp.mpf)], ids=["below", "at", "beyond"])
-    def test_exact_rationals_only_below_the_asymptotic_switch(
-            self, monkeypatch, z, kind):
-        # Below |z| = 2^19 mpmath only sums the series, which is fastest on
-        # exact (p, q) parameters; from there on its asymptotic expansion
-        # is tried, which is faster on mpf ones.
-        seen = []
-        original = mp.hyp2f3
-
-        def recorded(*args, **kwargs):
-            seen.extend(type(a) for a in args[:5])
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(mp, "hyp2f3", recorded)
-        hyp2f3(0.6, 1.1, 1.0, 1.3, 1.8, z)
-        assert seen == [kind] * 5
-
     @pytest.mark.parametrize("w", [0.01, 20.0, 200.0, 1000.0, 1448.0])
     @pytest.mark.parametrize("nu", [0.0, 2.5, 7.3])
     def test_same_bits_as_mpf_parameters(self, w, nu):
-        # Exact rationals are the same numbers mpmath sums as mpf, so the
-        # 256-bit value must not move by a single bit.
+        # hyp2f3 hands mpmath its mpf parameters as they are, with no
+        # conversion on the way: below the asymptotic switch too, the value
+        # is mpmath's own 256-bit 2F3 to the bit.
         for a, b in ((0.2, 0.4), (-0.9, 1.5)):
             with mp.workprec(192):
                 am, bm, n, wm = (mp.mpf(v) for v in (a, b, nu, w))
