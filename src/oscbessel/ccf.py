@@ -57,6 +57,7 @@ class ConvergenceRecord:
     approx: float
     reference: float
     abs_err: float
+    moment_err_est: float
 
 
 #: Number of kernels whose tables stay cached; past it the least recently
@@ -112,27 +113,32 @@ def ccf_integrate(spec: ProblemSpec, N: int) -> QuadratureResult:
     return _rule(spec, sample(spec.integrand, cc_points(N)))
 
 
-def convergence_study(spec: ProblemSpec, N_list, reference: float):
-    """One ConvergenceRecord per N against a fixed reference value.
+def convergence_study(spec: ProblemSpec, N_list, reference):
+    """One ConvergenceRecord per N against one reference value.
 
-    f is sampled once on cc_points(N_max), before any table is built.
-    Each N that divides N_max takes every (N_max/N)-th of those samples;
-    any other N samples f on its own points.
+    f is sampled first, on cc_points(N_max), whose every (N_max/N)-th
+    sample serves each N that divides N_max, and on each other N's points.
+    ``reference`` is a finite float or a function of no arguments, such as
+    the oracle, called once after that; then the N_max table is built once.
     """
     N_list = [as_size(n, 1) for n in N_list]
     if any(b <= a for a, b in zip(N_list, N_list[1:])) or not N_list:
         raise DomainError("N_list must be nonempty and strictly increasing")
-    if not math.isfinite(reference):
+    if not callable(reference) and not math.isfinite(reference):
         raise DomainError(f"reference must be finite, got {reference}")
     N_max = N_list[-1]
-    fine = sample(spec.integrand, cc_points(N_max))
+    own = {n: sample(spec.integrand, cc_points(n)) for n in N_list
+           if n == N_max or N_max % n}
+    reference = reference() if callable(reference) else reference
+    if not math.isfinite(reference):
+        raise DomainError(f"reference must be finite, got {reference}")
     _cached_table(spec, N_max)   # one build, all N reuse the prefix
     records = []
     for n in N_list:
-        q = _rule(spec, fine[::N_max // n] if N_max % n == 0
-                  else sample(spec.integrand, cc_points(n)))
+        q = _rule(spec, own[n] if n in own else own[N_max][::N_max // n])
         records.append(ConvergenceRecord(n, q.value, reference,
-                                         abs(q.value - reference)))
+                                         abs(q.value - reference),
+                                         q.moment_err_est))
     return records
 
 

@@ -18,11 +18,11 @@ import numpy as np
 
 from . import criteria
 from .ccf import ccf_integrate, convergence_study, fit_rate
-from .chebfit import ChebyshevExpansion, cc_points, cheb_interp_coeffs
+from .chebfit import ChebyshevExpansion, cheb_interp_coeffs
 from .errors import DomainError, OscBesselError
 from .moments import moment_table
 from .oracle import OracleConfig, reference_integral
-from .problem import ProblemSpec, sample
+from .problem import ProblemSpec
 
 __all__ = ["parse_integrand", "parse_config", "execute", "emit_report",
            "main"]
@@ -60,8 +60,7 @@ def parse_integrand(text: str):
 
 
 def _build_abs_pow(c=0.5, k=1.0):
-    breakpoints = (c,) if 0.0 < c < 1.0 else ()
-    return (lambda x: abs(x - c) ** k), breakpoints
+    return (lambda x: abs(x - c) ** k), (c,)
 
 
 def _build_one_minus_x2_pow(p=1.0):
@@ -241,19 +240,15 @@ def _run_moments(ns: argparse.Namespace):
 
 
 def _run_study(ns: argparse.Namespace):
-    reference = ns.reference
-    if reference is None:
-        # An f that fails at a node is reported as such before the oracle,
-        # which would report it as its own failure to converge: on N_max's
-        # grid and on each grid that is not nested in it.
-        N_max = ns.N_list[-1]
-        for n in ns.N_list:
-            if n == N_max or N_max % n:
-                sample(ns.spec.integrand, cc_points(n))
-        reference, _ = reference_integral(
-            ns.spec, ns.oracle, breakpoints=ns.breakpoints)
-    records = convergence_study(ns.spec, ns.N_list, reference)
-    scale = max(abs(reference), 1e-300)
+    def oracle():
+        return reference_integral(ns.spec, ns.oracle,
+                                  breakpoints=ns.breakpoints)[0]
+    # Without --reference, convergence_study runs the oracle once f is
+    # sampled on every grid, so an f that fails at a node is reported as
+    # such (exit 2), not as the oracle's failure to converge (exit 3).
+    records = convergence_study(
+        ns.spec, ns.N_list, oracle if ns.reference is None else ns.reference)
+    scale = max(abs(records[0].reference), 1e-300)
     header = ["N", "approx", "reference", "abs_err", "scaled_err"]
     rows = [[str(r.N), _fmt(r.approx), _fmt(r.reference), _fmt(r.abs_err),
              _fmt(r.abs_err / scale)] for r in records]

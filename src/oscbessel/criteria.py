@@ -47,14 +47,14 @@ def moment_grid(specs, N: int, ks, cfg):
             f"{len(ks)} moments; {elapsed:.0f}s <= 600s")
 
 
-def moment_decay(cases, omega: float = 20.0, N: int = 1024):
+def moment_decay(cases):
     """Criterion-06 (Lemma 3.3): the slope of log |M(k)| against log k over
-    k = 100..N lies within 0.25 of the expected one, for each
-    (alpha, beta, nu, expected slope) in ``cases``."""
-    k = np.arange(100, N + 1)
+    k = 100..1024 at omega = 20 lies within 0.25 of the expected one, for
+    each (alpha, beta, nu, expected slope) in ``cases``."""
+    k = np.arange(100, 1025)
     ok, details = True, []
     for alpha, beta, nu, expect in cases:
-        table = moment_table(ProblemSpec(alpha, beta, nu, omega), N)
+        table = moment_table(ProblemSpec(alpha, beta, nu, 20.0), 1024)
         slope = float(np.polyfit(np.log(k),
                                  np.log(np.abs(table.values[100:])), 1)[0])
         ok = ok and abs(slope - expect) <= 0.25
@@ -100,8 +100,8 @@ def aliasing():
                             "{8,16}, p in {1,2,3}, all j")
 
 
-def polynomial_exactness(specs, degrees, cfg, N: int = 12):
-    """Criterion-09: the N-point rule integrates f = T*_d, d in the
+def polynomial_exactness(specs, degrees, cfg):
+    """Criterion-09: the N = 12 rule integrates f = T*_d, d in the
     ascending ``degrees``, to the oracle's value within
     max(1e-10, moment_err_est) on each kernel of ``specs``."""
     ok, worst = True, 0.0
@@ -109,9 +109,9 @@ def polynomial_exactness(specs, degrees, cfg, N: int = 12):
         for d in degrees:
             spec = dataclasses.replace(
                 base, integrand=ChebyshevExpansion([0.0] * d + [1.0]))
-            q = ccf_integrate(spec, N)
+            q = ccf_integrate(spec, 12)
             diff = abs(q.value - reference_integral(spec, cfg)[0])
             worst = max(worst, diff)
             ok = ok and diff <= max(1e-10, q.moment_err_est)
     return (ok, f"max |Q - oracle| {worst:.1e} <= 1e-10 for degrees "
-                f"{degrees[0]}..{degrees[-1]}, N={N}")
+                f"{degrees[0]}..{degrees[-1]}, N=12")

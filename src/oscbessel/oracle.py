@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import jv
+from scipy.special import gammaln, jv
 
 from .errors import AccuracyError, DomainError
 from .problem import ProblemSpec, as_size, sample
@@ -30,10 +30,12 @@ _MAX_PANELS = 4096
 #: Most half-period panels in one grid, which is allocated whole.
 _MAX_GRID = 1 << 19
 
+_EPS = np.finfo(float).eps
+
 #: Rounding floor of every err_est, relative to the integral of |integrand|:
 #: QUADPACK's 50 eps (Piessens et al., 1983).  The K15 - G7 difference does
 #: not see the rounding of the nodes' values, which reaches ~18 eps of it.
-_ROUNDOFF = 50.0 * np.finfo(float).eps
+_ROUNDOFF = 50.0 * _EPS
 
 
 @dataclass(frozen=True)
@@ -125,21 +127,36 @@ def _gk_adaptive(f, lo, hi, val, err, panel_tol):
 # tanh-sinh for panels with one algebraically singular endpoint
 # ---------------------------------------------------------------------------
 
+#: t range of every tanh-sinh rule whose exponent allows it; see _ts_range.
 _TS_TMAX = 6.8
 _TS_H0 = 0.5
 _TS_MAX_LEVEL = 12
+#: The t range reaches (gamma+1)(pi/2)e^T >= _TS_TAIL: the piece of
+#: int u^gamma psi du below its first node, ~e^(-(gamma+1)(pi/2)e^T) of
+#: the total, is then below e^-40.
+_TS_TAIL = 40.0
 
 
-@lru_cache(maxsize=None)
-def _ts_raw_nodes(level: int):
-    """(sig, log sig, log jacobian) arrays for the t nodes new at this level.
+def _ts_range(gamma: float) -> float:
+    """_TS_TMAX, or where it drops more than e^-_TS_TAIL (gamma < -0.97),
+    the t reaching that, rounded up to a multiple of _TS_H0."""
+    reach = math.log(_TS_TAIL / ((gamma + 1.0) * 0.5 * math.pi))
+    if reach <= _TS_TMAX:
+        return _TS_TMAX
+    return _TS_H0 * math.ceil(reach / _TS_H0)
+
+
+@lru_cache(maxsize=4 * (_TS_MAX_LEVEL + 1))
+def _ts_raw_nodes(level: int, tmax: float):
+    """(sig, log sig, log jacobian) arrays for the t nodes new at this level,
+    |t| <= tmax.
 
     sig is the distance fraction from the singular end; level 0 is the full
     h0 grid, later levels its odd multiples of h.  The u^gamma part is
     applied later, in log space.
     """
     h = _TS_H0 / 2**level
-    n = int(_TS_TMAX / h)
+    n = int(tmax / h)
     j = np.arange(-n, n + 1)
     t = (j if level == 0 else j[j % 2 != 0]) * h
     y = math.pi * np.sinh(t)
@@ -155,32 +172,62 @@ def _tanh_sinh(sums, length, gamma, rel_tol):
     """(total, err, mass) of int_0^length u^gamma psi(u) du, singularity
     (if any) at u = 0.
 
-    ``sums(u, weight)`` returns (sum weight * psi, sum |weight * psi|) over
-    one level's nodes; the first may be an array, e.g. one entry per k.  u
-    is the distance from the singular endpoint (computed without
-    cancellation); weight holds u^gamma times the jacobian, formed in log
-    space so exponents near -1 cannot underflow, and nodes whose weight is
-    below e^-745 are dropped.  mass accumulates h * sum |weight * psi| over
-    the levels like the total.  From level 3 on, the levels stop once every
-    total moves by at most rel_tol times the mass: the mass, unlike a total
-    that nearly cancels, stays above rounding noise.  err is the last move.
+    ``sums(u, log_u, weight, cond)`` returns (sum weight * psi,
+    sum |weight * psi|, sum |weight * psi| * cond) over one level's nodes;
+    the first may be an array, e.g. one entry per k.  u is the distance
+    from the singular endpoint (computed without cancellation), and log_u
+    its log, exact where u underflows to 0; weight holds u^gamma times the
+    jacobian, formed in log space so exponents near -1 cannot underflow,
+    and nodes whose weight is below e^-745 are dropped.  Each weight's
+    relative rounding is at most eps times the size of the terms of its
+    log, |gamma log u| + |log length| + |log jacobian| + 1, where
+    |gamma log u| reaches ~(pi/2) e^|t|: cond holds the two that vary per
+    node (the log jacobian is negative), and the charge, the rounding
+    weighted by each node's share of the mass, accumulates h * its sums
+    over the levels like the total and the mass.  From level 3 on, the
+    levels stop once every total moves by at most rel_tol times the mass:
+    the mass, unlike a total that nearly cancels, stays above rounding
+    noise.  err is the last move plus the charge.
     """
     log_len = math.log(length)
-    total = prev = mass = 0.0
+    tmax = _ts_range(gamma)
+    total = prev = mass = charge = 0.0
     for level in range(_TS_MAX_LEVEL + 1):
-        sig, ls, lj = _ts_raw_nodes(level)
-        logfac = gamma * (log_len + ls) + log_len + lj
+        sig, ls, lj = _ts_raw_nodes(level, tmax)
+        log_u = log_len + ls
+        power = gamma * log_u
+        logfac = power + log_len + lj
         keep = logfac >= -745.0
-        part, part_mass = sums(length * sig[keep], np.exp(logfac[keep]))
+        part, part_mass, part_cond = sums(
+            length * sig[keep], log_u[keep], np.exp(logfac[keep]),
+            (np.abs(power) - lj)[keep])
         h, scale = _TS_H0 / 2**level, 0.5 if level else 0.0
         total = scale * total + h * part
         mass = scale * mass + h * part_mass
+        charge = scale * charge + h * (part_cond
+                                       + (abs(log_len) + 1.0) * part_mass)
         if level >= 2:
             err = np.abs(total - prev)
             if level >= 3 and np.all(err <= rel_tol * mass):
                 break
         prev = total
-    return total, err, mass
+    return total, err + _EPS * charge, mass
+
+
+def _jv_at_0(nu, w, x, log_u, p):
+    """J_nu(w x) on the nodes of a tanh-sinh end at x = 0, where x = u^p
+    wherever it is tiny.  Where w x < 1e-300 jv reads 0, though its leading
+    term (w x / 2)^nu / Gamma(nu + 1), exact in double there, is e^-7.4 at
+    nu = 0.01 and w x = 1e-320; it is formed from log u, which stays exact
+    where x itself underflows."""
+    z = w * x
+    out = jv(nu, z)
+    lost = z < 1e-300
+    if lost.any():
+        lost &= out == 0.0
+        out[lost] = np.exp(nu * (math.log(w) - math.log(2.0)
+                                 + p * log_u[lost]) - gammaln(nu + 1.0))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -213,14 +260,18 @@ def reference_integral(spec: ProblemSpec, cfg: OracleConfig | None = None,
     grid = np.concatenate([[0.0], pts, [1.0]])
 
     def end(psi, length, gamma):
-        def sums(u, weight):
-            v = psi(u)
-            return float(weight @ v), float(weight @ np.abs(v))
+        def sums(u, log_u, weight, cond):
+            v = psi(u, log_u)
+            av = np.abs(v)
+            return (float(weight @ v), float(weight @ av),
+                    float((weight * cond) @ av))
         return _tanh_sinh(sums, length, gamma, 0.1 * cfg.rel_tol)[:2]
 
     # ends: u = x on the left, u = 1 - x on the right
-    ends = [end(lambda u: (1.0 - u) ** b * kernel(u), grid[1], a),
-            end(lambda u: (1.0 - u) ** a * kernel(1.0 - u), 1.0 - grid[-2], b)]
+    ends = [end(lambda u, lu: (1.0 - u) ** b
+                * (sample(f, u) * _jv_at_0(nu, w, u, lu, 1.0)), grid[1], a),
+            end(lambda u, lu: (1.0 - u) ** a * kernel(1.0 - u),
+                1.0 - grid[-2], b)]
 
     def integrand(x):
         return x**a * (1.0 - x) ** b * kernel(x)
@@ -284,19 +335,22 @@ def _moment_theta(spec, ks, cfg):
     # u is the distance from the end.  Left: theta = u, sin theta = sin u.
     # Right: theta = pi/2 - u, sin theta = cos u, and cos(2k theta) =
     # (-1)^k cos(2k u).  np.sinc keeps sin(u)/u -> 1 where deep nodes
-    # underflow u to 0.
-    sides = ((inner[0], 2 * a + 1, 2 * b + 1, np.sin, 1.0),
-             (0.5 * math.pi - inner[-1], 2 * b + 1, 2 * a + 1, np.cos,
-              np.where(ks % 2 == 0, 1.0, -1.0)))
+    # underflow u to 0; where sin^2 u underflows, sin u = u.
+    sides = ((inner[0], 2 * a + 1, 2 * b + 1, 1.0,
+              lambda u, lu: _jv_at_0(nu, w, np.sin(u) ** 2, lu, 2.0)),
+             (0.5 * math.pi - inner[-1], 2 * b + 1, 2 * a + 1,
+              np.where(ks % 2 == 0, 1.0, -1.0),
+              lambda u, lu: jv(nu, w * np.cos(u) ** 2)))
     end_totals, end_errs, masses = [], [], []
-    for length, g_end, g_far, sin_theta, sign in sides:
-        def sums(u, weight):
+    for length, g_end, g_far, sign, bessel in sides:
+        def sums(u, log_u, weight, cond):
             wv = weight * (np.sinc(u / math.pi) ** g_end * np.cos(u) ** g_far
-                           * jv(nu, w * sin_theta(u) ** 2))
+                           * bessel(u, log_u))
             part = np.empty(ks.size)
             for sl, c in _cos_blocks(ks, u):
                 part[sl] = c @ wv
-            return part, float(np.abs(wv).sum())
+            awv = np.abs(wv)
+            return part, float(awv.sum()), float(awv @ cond)
         totals, err, mass = _tanh_sinh(sums, length, g_end, 0.1 * cfg.rel_tol)
         end_totals.append(sign * totals)
         end_errs.append(err)

@@ -21,7 +21,7 @@ import numpy as np
 
 from conftest import record_criterion
 from oscbessel import criteria
-from oscbessel.ccf import ConvergenceRecord, ccf_integrate, fit_rate
+from oscbessel.ccf import ccf_integrate, convergence_study, fit_rate
 from oscbessel.moments import _KU, BandedSystem, moment_table
 from oscbessel.oracle import (OracleConfig, reference_integral,
                               reference_moments)
@@ -41,13 +41,8 @@ def dyadic_study(spec, breakpoints, p):
     """Records, scaled errors, boundedness verdict, and fitted slope."""
     ref, _ = reference_integral(spec, OracleConfig(rel_tol=1e-12),
                                 breakpoints=breakpoints)
-    records, floors = [], []
-    for n in DYADIC:
-        q = ccf_integrate(spec, n)
-        records.append(ConvergenceRecord(n, q.value, ref,
-                                         abs(q.value - ref)))
-        floors.append(1e2 * q.moment_err_est)
-    usable = [r for r, f in zip(records, floors) if r.abs_err > f]
+    usable = [r for r in convergence_study(spec, DYADIC, ref)
+              if r.abs_err > 1e2 * r.moment_err_est]
     scaled = [r.abs_err * r.N ** p for r in usable]
     upper = scaled[(len(scaled) + 1) // 2:]
     bounded = max(upper) <= 2.0 * float(np.median(upper))

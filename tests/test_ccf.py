@@ -159,8 +159,7 @@ class TestConvergenceStudy:
         spec = ProblemSpec(0.2, 0.4, 0.0, 20.0, integrand=lambda x: 1.0)
         reference = float(power_moment(0.2, 0.4, 0.0, 20.0)[0][0])
         for rec in convergence_study(spec, [4, 8, 16], reference):
-            q = ccf_integrate(spec, rec.N)
-            assert rec.abs_err <= max(q.moment_err_est,
+            assert rec.abs_err <= max(rec.moment_err_est,
                                       1e-14 * abs(reference))
 
     def test_requires_increasing_n(self):
@@ -183,6 +182,39 @@ class TestConvergenceStudy:
         spec = ProblemSpec(0.2, 0.4, 0.0, 20.0, integrand=math.exp)
         with pytest.raises(DomainError, match="reference must be finite"):
             convergence_study(spec, [4, 8], reference)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_deferred_reference_called_once_after_sampling(self, bad):
+        # A function of no arguments is called once, after f is sampled;
+        # what it returns is held to the rule of a float reference, which
+        # is refused before f is sampled.
+        calls = []
+        spec = ProblemSpec(0.2, 0.4, 0.0, 20.0,
+                           integrand=lambda x: calls.append("f") or x)
+        records = convergence_study(spec, [4, 8],
+                                    lambda: calls.append("ref") or 0.25)
+        assert calls == ["f"] * 9 + ["ref"]
+        assert [r.reference for r in records] == [0.25, 0.25]
+        calls.clear()
+        with pytest.raises(DomainError) as deferred:
+            convergence_study(spec, [4, 8], lambda: calls.append("ref") or bad)
+        assert calls == ["f"] * 9 + ["ref"]
+        with pytest.raises(DomainError) as direct:
+            convergence_study(dataclasses.replace(spec, integrand=no_work),
+                              [4, 8], bad)
+        assert str(deferred.value) == str(direct.value)
+
+    def test_failing_node_of_a_grid_not_nested_reported_first(
+            self, monkeypatch):
+        # x = 0.5 is node 5 of N = 10 but no node of N = 15; the study
+        # built the N = 15 table before it sampled the N = 10 grid.
+        clear_moment_cache()
+        monkeypatch.setattr(ccf, "moment_table", no_work)
+        spec = ProblemSpec(0.2, 0.4, 0.0, 20.0,
+                           integrand=lambda x: abs(x - 0.5) ** -1)
+        for reference in (1.0, lambda: pytest.fail("reference resolved")):
+            with pytest.raises(DomainError, match="integrand raised"):
+                convergence_study(spec, [10, 15], reference)
 
     def test_dyadic_sweep_samples_once(self):
         calls = []
@@ -253,7 +285,7 @@ class TestTableCache:
 class TestFitRate:
     @staticmethod
     def synthetic(power, ns):
-        return [ConvergenceRecord(n, 0.0, 0.0, float(n) ** power)
+        return [ConvergenceRecord(n, 0.0, 0.0, float(n) ** power, 0.0)
                 for n in ns]
 
     def test_exact_power_law(self):
@@ -272,7 +304,7 @@ class TestFitRate:
         records = self.synthetic(-2.0, [8, 16, 32, 64])
         with pytest.raises(DomainError):
             fit_rate(records, window=(0, 3))
-        zeroed = [ConvergenceRecord(r.N, 0.0, 0.0, 0.0) for r in records]
+        zeroed = [ConvergenceRecord(r.N, 0.0, 0.0, 0.0, 0.0) for r in records]
         with pytest.raises(DomainError):
             fit_rate(zeroed, window=(0, 4))
 

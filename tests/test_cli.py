@@ -9,7 +9,7 @@ from oscbessel import cli, criteria
 from oscbessel.chebfit import cc_points
 from oscbessel.errors import AccuracyError
 from oscbessel.moments import moment_table
-from oscbessel.oracle import OracleConfig
+from oscbessel.oracle import OracleConfig, reference_integral
 from oscbessel.problem import ProblemSpec
 
 
@@ -306,6 +306,35 @@ class TestStudyCommand:
             fields = line.split(",")
             assert fields[2] == "1.0"
             assert float(fields[3]) == abs(float(fields[1]) - 1.0)
+
+    # Outside the oracle f is called once per node of N_max's grid and of
+    # each grid not nested in it; the command sampled those grids a second
+    # time before the oracle ran (514, 54, 488 and 88 calls).
+    @pytest.mark.parametrize("N, calls", [("16,32,64,128,256", 257),
+                                          ("10,15", 27),
+                                          ("3,9,27,81,243", 244),
+                                          ("10,16,32", 44)])
+    def test_samples_each_node_once(self, capsys, monkeypatch, N, calls):
+        counts = {"study": 0, "oracle": 0}
+        caller = ["study"]
+
+        def f(x):
+            counts[caller[0]] += 1
+            return math.exp(x)
+
+        def oracle(*args, **kwargs):
+            caller[0] = "oracle"
+            try:
+                return reference_integral(*args, **kwargs)
+            finally:
+                caller[0] = "study"
+        monkeypatch.setitem(cli._REGISTRY, "smooth_exp", lambda: (f, ()))
+        monkeypatch.setattr(cli, "reference_integral", oracle)
+        code, _, _ = run(self.ARGS[:9] + ["--f", "smooth_exp", "--N", N],
+                         capsys)
+        assert code == 0
+        assert counts["study"] == calls
+        assert counts["oracle"] > 0
 
 
 class TestUserIntegrand:

@@ -3,12 +3,13 @@ import math
 import pathlib
 import time
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from oscbessel import oracle
 from oscbessel.errors import AccuracyError, DomainError
-from oscbessel.moments import moment_table, power_moment
+from oscbessel.moments import _starting_mpf, moment_table, power_moment
 from oscbessel.oracle import (_GK_NODES, _GK_WGAUSS, _GK_WK, OracleConfig,
                               reference_integral, reference_moment,
                               reference_moments)
@@ -220,6 +221,29 @@ class TestReferenceMoment:
         for k in range(6):
             ref, err = got[k]
             assert abs(ref - want[k]) <= err + 1e-12 * abs(want[k]), k
+
+
+@pytest.mark.parametrize("kernel", [
+    *((a, b, nu, 5.0) for a in (-0.98, -0.99, -0.999)
+      for b in (-0.98, -0.99, -0.999) for nu in (0.0, 2.0)),
+    (-0.9783833244778571, 2.4175521717885236, 0.01055964054423375,
+     962.0839496895073),
+    (-0.984375, 0.0, 0.0078125, 0.01)])
+def test_exponents_near_minus_one_against_closed_forms(kernel):
+    # With its t range cut at 6.8, tanh-sinh dropped ~e^(-1410 (gamma+1))
+    # of int u^gamma psi du: at (0, -0.999, 0, 5) M(0) was 6% off with an
+    # err_est of 1e-5, and the x form raised AccuracyError from -0.99.
+    # The last two kernels have deep nodes at x = 0 whose Bessel argument
+    # is below 1e-305, where jv reads 0, though at their small nu (z/2)^nu
+    # is e^-7 there: both forms were off by 4.2e-9 and 3.3e-6, against
+    # err_est 6.3e-12 and 3.3e-9.
+    spec = ProblemSpec(*kernel)
+    want = [value for value, _ in _starting_mpf(spec, 4)]
+    theta = reference_moments(spec, range(4))
+    for k in range(4):
+        for form, (ref, err) in (("theta", theta[k]),
+                                 ("x", reference_integral(spec, f=tstar(k)))):
+            assert abs(mp.mpf(ref) - want[k]) <= err, (k, form)
 
 
 def test_oracle_is_independent_of_the_modules_it_judges():
