@@ -8,7 +8,9 @@ failure.
 from __future__ import annotations
 
 import argparse
+import csv
 import inspect
+import io
 import json
 import math
 import sys
@@ -283,8 +285,9 @@ def _run_validate(ns: argparse.Namespace):
 
 def emit_report(header, rows, fmt: str, destination: str) -> None:
     if fmt == "csv":
-        text = "\n".join([",".join(header)]
-                         + [",".join(row) for row in rows]) + "\n"
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows([header, *rows])
+        text = buf.getvalue()
     else:
         payload = [dict(zip(header, row)) for row in rows]
         text = json.dumps(payload, indent=2) + "\n"

@@ -169,15 +169,25 @@ _K_PREC = _PIPE_PREC + 32
 def power_moment(a: float, b: float, nu: float, omega: float,
                  count: int = 1):
     """[(value, err_est)] of I(a+i,b,nu,w) = int_0^1 x^(a+i) (1-x)^b
-    J_nu(w x) dx for i = 0..count-1.
+    J_nu(w x) dx for i = 0..count-1, count from 1 to 4; valid for finite
+    a + nu > -1, b > -1, nu >= 0 and w >= 0.
 
-    Each value is a Gamma prefactor times a 2F3 at z = -w^2/4, an mpf at
-    the pipeline precision; valid for a + nu > -1, b > -1, nu >= 0 and
-    w >= 0.  Below |z| = 2^19 all count values come from one integer pass
-    over the series (see _series_closed_forms); from there on each is one
-    mpmath 2F3.  err_est, a float, bounds the value's error.
+    With A = a+nu+1 and C = a+b+nu+2, I(a+i) = K q_i(0) F_i, where K =
+    Gamma(b+1) Gamma(A) (w/2)^nu / (Gamma(nu+1) Gamma(C+3)), q_i(p) =
+    (A+2p)_i (C+2p+i)_(3-i) and F_i = 2F3((A+i)/2, (A+i+1)/2; nu+1,
+    (C+i)/2, (C+i+1)/2; -w^2/4).  Below |z| = w^2/4 = 2^19 the sums
+    q_i(0) F_i come from one integer pass (_series_sums); from there on
+    each is q_i(0) times one mpmath 2F3.  Each value is an mpf at the
+    pipeline precision.  err_est, a float, is the sum's relative bound
+    plus the rounding of K and of the sum (16 ulps at _K_PREC) and of the
+    product (half an ulp at the pipeline precision), times |value|.
     """
+    count = as_size(count, 1, "count")
+    if count > 4:
+        raise DomainError(f"count must be <= 4, got {count}")
     params = a, b, nu, omega = [float(v) for v in (a, b, nu, omega)]
+    if not all(map(math.isfinite, params)):
+        raise DomainError(f"power_moment needs finite input, got {params}")
     if not a + nu > -1.0:
         raise DomainError(f"need a + nu > -1, got {a + nu}")
     if not b > -1.0:
@@ -187,41 +197,46 @@ def power_moment(a: float, b: float, nu: float, omega: float,
     if not omega >= 0.0:
         # (w/2)^nu of a negative w is complex.
         raise DomainError(f"need omega >= 0, got {omega}")
-    if (all(map(math.isfinite, params))
-            and Fraction(omega) ** 2 < 4 * _SERIES_ONLY):
-        return _series_closed_forms(*params, count)
-    return [_hyp2f3_closed_form(*params, i) for i in range(count)]
-
-
-def _hyp2f3_closed_form(a, b, nu, omega, shift: int):
-    """(value, err_est) of I(a+shift,b,nu,w) from one 256-bit 2F3; err_est
-    covers the 2F3's 2^-192 relative bound and the rounding of the product
-    at the pipeline precision."""
-    # Parameter combinations are formed in mpf: double-rounded sums like
-    # (a+nu+1)/2 shift the result at the 1e-16 level, which the power-basis
-    # cancellation downstream cannot afford.
-    with mp.workprec(_PIPE_PREC):
-        am, bm, nm, wm = (mp.mpf(v) for v in (a, b, nu, omega))
-        am += shift
-        args = ((am + nm + 1) / 2, (am + nm + 2) / 2,
-                nm + 1, (am + bm + nm + 2) / 2, (am + bm + nm + 3) / 2,
-                -(wm * wm) / 4)
-    h = hyp2f3(*args)
-    with mp.workprec(_PIPE_PREC):
-        pref = (mp.gamma(bm + 1) * mp.gamma(am + nm + 1)
-                * (wm / 2) ** nm
-                / (mp.gamma(nm + 1) * mp.gamma(am + bm + nm + 2)))
-        val = pref * h.value
-        hyp_err = float(abs(pref)) * h.err_est
-        if not math.isfinite(hyp_err):
-            # (w/2)^nu overflowed a double, and h.err_est, 2^-192 |2F3|,
-            # may have underflowed to 0: inf or inf * 0 = NaN.  The same
-            # relative bound taken on val is the product without either.
-            hyp_err = 2.0 ** -192 * float(abs(val))
-        # Four gammas, a power and five products or quotients, each good
-        # to about half an ulp: 2^-188 (16 ulps) covers them with margin.
-        err = hyp_err + float(abs(val)) * 2.0 ** (4 - _PIPE_PREC)
-    return val, err
+    a_, b_, n_, w_ = map(Fraction, params)
+    A, C = a_ + n_ + 1, a_ + b_ + n_ + 2
+    # d^3 q_i(p) as cubics in p with integer coefficients
+    d = max(A.denominator, C.denominator)           # a power of two
+    rise_a = [(int((A + k) * d), 2 * d) for k in range(3)]
+    rise_c = [(int((C + k) * d), 2 * d) for k in range(3)]
+    cubics = [_linear_product(rise_a[:i] + rise_c[i:]) for i in range(count)]
+    am, bm, nm, wm = (mp.mpf(v) for v in params)    # exact
+    if w_ * w_ < 4 * _SERIES_ONLY:
+        sums = _series_sums(params, A, n_ + 1, C, cubics)
+    else:
+        sums = []
+        for i, q in enumerate(cubics):
+            # Parameter combinations are formed in mpf: double-rounded sums
+            # like (a+nu+1)/2 shift the result at the 1e-16 level, which the
+            # power-basis cancellation downstream cannot afford.
+            with mp.workprec(_PIPE_PREC):
+                ai = am + i
+                args = ((ai + nm + 1) / 2, (ai + nm + 2) / 2, nm + 1,
+                        (ai + bm + nm + 2) / 2, (ai + bm + nm + 3) / 2,
+                        -(wm * wm) / 4)
+            h = hyp2f3(*args)
+            with mp.workprec(_K_PREC):
+                s = q[0] * h.value
+            # h.err_est, 2^-192 |F_i| as a double, underflows where |F_i|
+            # is tiny; the relative bound it stands for does not.
+            sums.append((s, h.err_est / float(abs(h.value))
+                         if h.err_est >= sys.float_info.min else 2.0 ** -192))
+    with mp.workprec(_K_PREC):
+        # K / d^3 (ldexp is exact): each sum carries its cubic's d^3
+        K = mp.ldexp(mp.gamma(bm + 1) * mp.gamma(am + nm + 1) * (wm / 2) ** nm
+                     / (mp.gamma(nm + 1) * mp.gamma(am + bm + nm + 5)),
+                     -3 * (d.bit_length() - 1))
+    out = []
+    for s, rel in sums:
+        with mp.workprec(_PIPE_PREC):
+            val = K * s
+        rel = 2.0 ** -_PIPE_PREC + 2.0 ** (4 - _K_PREC) + rel
+        out.append((val, rel * float(abs(val))))
+    return out
 
 
 def _linear_product(factors):
@@ -259,20 +274,19 @@ def _alternating_sums(wp: int, A: Fraction, nu1: Fraction, C: Fraction,
     return (s0, s1, s2, s3), p
 
 
-def _series_closed_forms(a: float, b: float, nu: float, w: float,
-                         count: int):
-    """(value, err_est) of I(a+i,b,nu,w), i = 0..count-1, from one integer
-    pass over the series, for w^2/4 < 2^19.
+def _series_sums(params, A: Fraction, nu1: Fraction, C: Fraction, cubics):
+    """(sum, relative error bound) of d^3 q_i(0) 2F3_i for each d^3 q_i
+    among ``cubics``, from one integer pass over the series, for
+    w^2/4 < 2^19.
 
-    With A = a+nu+1 and C = a+b+nu+2, I(a+i) = K sum_p u_p q_i(p), where
-    u_0 = 1, u_p+1/u_p = -(w^2/4) (A+2p)(A+2p+1) / ((p+1)(nu+1+p)
-    (C+2p+3)(C+2p+4)), q_i(p) = (A+2p)_i (C+2p+i)_(3-i) and K =
-    Gamma(b+1) Gamma(A) (w/2)^nu / (Gamma(nu+1) Gamma(C+3)).  The ratio is
-    an exact rational of the (exact double) parameters, so the terms are
+    sum i is sum_p u_p q_i(p), where u_0 = 1 and u_p+1/u_p = -(w^2/4)
+    (A+2p)(A+2p+1) / ((p+1)(nu1+p)(C+2p+3)(C+2p+4)).  The ratio is an
+    exact rational of the (exact double) parameters, so the terms are
     summed in fixed point at wp bits once, with the cubics q_i expanded
     over S_j = sum_p p^j u_p, j <= 3: one 2F3 and its first three
     theta-derivatives (the rational fast path of Johansson, ACM TOMS 45,
-    2019).
+    2019).  params are the doubles (a, b, nu, w); each sum is rounded to
+    _K_PREC.
 
     Error bound: each floor division errs by under one unit 2^-wp, and the
     error it starts at term k propagates into sum i as that unit times the
@@ -286,17 +300,9 @@ def _series_closed_forms(a: float, b: float, nu: float, w: float,
     most sum_k<=P q_i(k) <= P q_i(P) units.  While that exceeds
     2^-_SERIES_BITS of a sum, the pass repeats with the working precision
     raised by the shortfall.  The first wp covers the cancellation that
-    |I| <= B(a+1, b+1) implies against the first term.  err_est adds the
-    rounding of K (16 ulps at _K_PREC) and of the product (half an ulp at
-    the pipeline precision).
+    |I| <= B(a+1, b+1) implies against the first term.
     """
-    a_, b_, n_, w_ = map(Fraction, (a, b, nu, w))
-    A, C = a_ + n_ + 1, a_ + b_ + n_ + 2
-    # d^3 q_i(p) as cubics in p with integer coefficients
-    d = max(A.denominator, C.denominator)           # a power of two
-    rise_a = [(int((A + k) * d), 2 * d) for k in range(3)]
-    rise_c = [(int((C + k) * d), 2 * d) for k in range(3)]
-    cubics = [_linear_product(rise_a[:i] + rise_c[i:]) for i in range(count)]
+    a, b, nu, w = params
     cancel = 0.0
     if w > 0.0:
         lg = math.lgamma
@@ -306,28 +312,19 @@ def _series_closed_forms(a: float, b: float, nu: float, w: float,
     # q_i(0) taken as (2w + 64)^4 for the P ~ 1.5 w terms of the pass.
     wp = _SERIES_BITS + 32 + math.ceil(max(cancel, 0.0) / math.log(2.0)
                                        + 4.0 * math.log2(2.0 * w + 64.0))
+    z = -Fraction(w) ** 2 / 4
     while True:
-        sums, P = _alternating_sums(wp, A, n_ + 1, C, -w_ * w_ / 4)
+        sums, P = _alternating_sums(wp, A, nu1, C, z)
         tots = [sum(c * s for c, s in zip(q, sums)) for q in cubics]
         bounds = [P * sum(c * P ** j for j, c in enumerate(q)) for q in cubics]
-        short = max((e.bit_length() + _SERIES_BITS + 1 - abs(t).bit_length()
-                     for t, e in zip(tots, bounds)), default=0)
+        short = max(e.bit_length() + _SERIES_BITS + 1 - abs(t).bit_length()
+                    for t, e in zip(tots, bounds))
         if short <= 0:
             break
         wp += short + 16
     with mp.workprec(_K_PREC):
-        am, bm, nm, wm = (mp.mpf(v) for v in (a, b, nu, w))
-        pref = (mp.gamma(bm + 1) * mp.gamma(am + nm + 1) * (wm / 2) ** nm
-                / (mp.gamma(nm + 1) * mp.gamma(am + bm + nm + 5)))
-        exponent = -wp - 3 * (d.bit_length() - 1)
-        sums = [mp.mpf((t, exponent)) for t in tots]
-    out = []
-    for t, e, s in zip(tots, bounds, sums):
-        with mp.workprec(_PIPE_PREC):
-            val = pref * s
-        rel = 2.0 ** -_PIPE_PREC + 2.0 ** (4 - _K_PREC) + e / (abs(t) - e)
-        out.append((val, rel * float(abs(val))))
-    return out
+        return [(mp.mpf((t, -wp)), e / (abs(t) - e))
+                for t, e in zip(tots, bounds)]
 
 
 #: Integer coefficients c_j of T_k*(x) = sum_j c_j x^(k-j), k = 0..3.

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import warnings
@@ -384,6 +386,16 @@ def test_validate_passes(capsys):
         "recurrence-residual", "hybrid-vs-oracle", "aliasing",
         "moment-decay", "polynomial-exactness"]
     assert all(",pass," in line for line in lines[1:])
+
+
+def test_validate_csv_has_three_fields_per_row(capsys):
+    # Three details contain commas ("N in {8,16}, p in {1,2,3}, all j"):
+    # joined with bare commas they split into extra fields.
+    code, out, _ = run(["validate"], capsys)
+    rows = list(csv.reader(io.StringIO(out)))
+    assert code == 0 and len(rows) == 6
+    assert [len(row) for row in rows] == [3] * 6
+    assert rows[3][:2] == ["aliasing", "pass"]
 
 
 def test_validate_failure_is_2_and_still_reported(tmp_path, monkeypatch):

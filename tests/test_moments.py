@@ -288,15 +288,18 @@ class TestPowerMoment:
             assert err <= err_est, (w, float(err), err_est)
 
     @pytest.mark.parametrize("a, b, nu, omegas", [
-        *[(*abn, (1e-3, 1.0, 20.0, 200.0, 1000.0, 1447.0)) for abn in (
+        *[(*abn, (1e-3, 1.0, 20.0, 200.0, 1000.0, 1447.0,
+                  1449.0, 2000.0, 1e4, 1e5)) for abn in (
             (0.2, 0.4, 0.0), (-0.8, -0.9, 2.5), (0.6, -0.4, 7.0),
             (-0.5, -0.5, 1.0))],
         # (w/2)^nu overflows a double, and the sum cancels ~460 bits.
         (0.2, 0.4, 150.0, (1000.0,))])
-    def test_one_pass_closed_forms_against_600_bits(self, a, b, nu, omegas):
-        # Below the asymptotic switch the four shifted closed forms come
-        # from one integer pass; each is within its err_est of the 600-bit
-        # closed form, and err_est is within 2^-188 of the value.
+    def test_closed_forms_against_600_bits(self, a, b, nu, omegas):
+        # The four shifted closed forms, from one integer pass below the
+        # asymptotic switch (w ~ 1448.15) and from one 2F3 each above it,
+        # share one prefactor and one error rule: each is within its
+        # err_est of the 600-bit closed form, and err_est is within 2^-188
+        # of the value.
         for w in omegas:
             got = power_moment(a, b, nu, w, 4)
             with mp.workprec(600):
@@ -317,6 +320,31 @@ class TestPowerMoment:
         assert err_est >= 2.0 ** -192 * abs(float(value)) > 0.0
         table = moment_table(ProblemSpec(0.2, 0.4, nu, w), 5)
         assert np.all(np.isfinite(table.err_est))
+
+    @pytest.mark.parametrize("omega", [20.0, 2000.0])
+    def test_count_runs_from_one_to_four(self, omega):
+        # Only q_0..q_3 exist: a count of 5 or more returned I(a+3) again
+        # for every exponent past a+3 below the switch.
+        four = power_moment(0.2, 0.4, 0.0, omega, 4)
+        for count in (1, 2, 3):
+            assert power_moment(0.2, 0.4, 0.0, omega, count) == four[:count]
+        for count in (0, 5, 6, 4.0):
+            with pytest.raises(DomainError, match="count"):
+                power_moment(0.2, 0.4, 0.0, omega, count)
+
+    @pytest.mark.parametrize("params", [
+        (math.inf, 0.4, 0.0, 20.0), (math.nan, 0.4, 0.0, 2000.0),
+        (0.2, math.inf, 0.0, 20.0), (0.2, math.nan, 0.0, 2000.0),
+        (0.2, 0.4, 0.0, math.inf), (0.2, 0.4, 0.0, math.nan)])
+    def test_non_finite_input_is_refused_before_any_2f3(self, params,
+                                                        monkeypatch):
+        # power_moment's own DomainError, not one from inside hyp2f3.
+        def fail(*args, **kwargs):
+            raise AssertionError("2F3 evaluated")
+        monkeypatch.setattr(mp, "hyp2f3", fail)
+        monkeypatch.setattr(moments, "hyp2f3", fail)
+        with pytest.raises(DomainError, match="finite"):
+            power_moment(*params, 4)
 
     def test_parameter_validation(self):
         with pytest.raises(DomainError):
