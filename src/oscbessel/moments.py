@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -177,10 +177,11 @@ def power_moment(a: float, b: float, nu: float, omega: float,
     (A+2p)_i (C+2p+i)_(3-i) and F_i = 2F3((A+i)/2, (A+i+1)/2; nu+1,
     (C+i)/2, (C+i+1)/2; -w^2/4).  Below |z| = w^2/4 = 2^19 the sums
     q_i(0) F_i come from one integer pass (_series_sums); from there on
-    each is q_i(0) times one mpmath 2F3.  Each value is an mpf at the
-    pipeline precision.  err_est, a float, is the sum's relative bound
-    plus the rounding of K and of the sum (16 ulps at _K_PREC) and of the
-    product (half an ulp at the pipeline precision), times |value|.
+    each is q_i(0) times one mpmath 2F3.  The arguments of each 2F3 and of
+    K are exact rationals, each rounded once to mpf.  Each value is an mpf
+    at the pipeline precision.  err_est, a float, is the sum's relative
+    bound plus the rounding of K and of the sum (16 ulps at _K_PREC) and
+    of the product (half an ulp at the pipeline precision), times |value|.
     """
     count = as_size(count, 1, "count")
     if count > 4:
@@ -204,32 +205,23 @@ def power_moment(a: float, b: float, nu: float, omega: float,
     rise_a = [(int((A + k) * d), 2 * d) for k in range(3)]
     rise_c = [(int((C + k) * d), 2 * d) for k in range(3)]
     cubics = [_linear_product(rise_a[:i] + rise_c[i:]) for i in range(count)]
-    am, bm, nm, wm = (mp.mpf(v) for v in params)    # exact
     if w_ * w_ < 4 * _SERIES_ONLY:
         sums = _series_sums(params, A, n_ + 1, C, cubics)
     else:
         sums = []
         for i, q in enumerate(cubics):
-            # Parameter combinations are formed in mpf: double-rounded sums
-            # like (a+nu+1)/2 shift the result at the 1e-16 level, which the
-            # power-basis cancellation downstream cannot afford.
             with mp.workprec(_PIPE_PREC):
-                ai = am + i
-                args = ((ai + nm + 1) / 2, (ai + nm + 2) / 2, nm + 1,
-                        (ai + bm + nm + 2) / 2, (ai + bm + nm + 3) / 2,
-                        -(wm * wm) / 4)
+                args = [_dyadic(x) for x in ((A + i) / 2, (A + i + 1) / 2,
+                                             n_ + 1, (C + i) / 2,
+                                             (C + i + 1) / 2, -w_ * w_ / 4)]
             h = hyp2f3(*args)
             with mp.workprec(_K_PREC):
-                s = q[0] * h.value
-            # h.err_est, 2^-192 |F_i| as a double, underflows where |F_i|
-            # is tiny; the relative bound it stands for does not.
-            sums.append((s, h.err_est / float(abs(h.value))
-                         if h.err_est >= sys.float_info.min else 2.0 ** -192))
+                sums.append((q[0] * h.value, 2.0 ** -192))  # hyp2f3's bound
     with mp.workprec(_K_PREC):
+        g = [mp.gamma(_dyadic(x)) for x in (b_ + 1, A, n_ + 1, C + 3)]
         # K / d^3 (ldexp is exact): each sum carries its cubic's d^3
-        K = mp.ldexp(mp.gamma(bm + 1) * mp.gamma(am + nm + 1) * (wm / 2) ** nm
-                     / (mp.gamma(nm + 1) * mp.gamma(am + bm + nm + 5)),
-                     -3 * (d.bit_length() - 1))
+        K = mp.ldexp(g[0] * g[1] * _dyadic(w_ / 2) ** _dyadic(n_)
+                     / (g[2] * g[3]), -3 * (d.bit_length() - 1))
     out = []
     for s, rel in sums:
         with mp.workprec(_PIPE_PREC):
@@ -237,6 +229,11 @@ def power_moment(a: float, b: float, nu: float, omega: float,
         rel = 2.0 ** -_PIPE_PREC + 2.0 ** (4 - _K_PREC) + rel
         out.append((val, rel * float(abs(val))))
     return out
+
+
+def _dyadic(x: Fraction):
+    """x, a Fraction with a power-of-two denominator, rounded once to mpf."""
+    return mp.mpf((x.numerator, 1 - x.denominator.bit_length()))
 
 
 def _linear_product(factors):
@@ -300,11 +297,11 @@ def _series_sums(params, A: Fraction, nu1: Fraction, C: Fraction, cubics):
     most sum_k<=P q_i(k) <= P q_i(P) units.  While that exceeds
     2^-_SERIES_BITS of a sum, the pass repeats with the working precision
     raised by the shortfall.  The first wp covers the cancellation that
-    |I| <= B(a+1, b+1) implies against the first term.
+    |I| <= B(a+1, b+1) implies against the first term, none at a <= -1.
     """
     a, b, nu, w = params
     cancel = 0.0
-    if w > 0.0:
+    if w > 0.0 and a > -1.0:    # B(a+1, b+1) does not exist at a <= -1
         lg = math.lgamma
         cancel = (nu * math.log(w / 2.0) + lg(a + nu + 1.0) - lg(nu + 1.0)
                   - lg(a + b + nu + 2.0) - lg(a + 1.0) + lg(a + b + 2.0))
@@ -757,7 +754,9 @@ def moment_table(spec: ProblemSpec, N: int) -> MomentTable:
     meth = (("closed-form",) * len(pairs)
             + ("forward",) * (k_switch + 1 - _K_LO)
             + ("oliver",) * (N - k_switch))
-    return MomentTable(spec, vals, meth, errs + np.spacing(np.abs(vals)) / 2)
+    # No integrand in the table: a cached table keeps no caller's f alive.
+    return MomentTable(replace(spec, integrand=None), vals, meth,
+                       errs + np.spacing(np.abs(vals)) / 2)
 
 
 def recurrence_residual(table: MomentTable, k: int) -> float:

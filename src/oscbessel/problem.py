@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -18,6 +19,10 @@ __all__ = ["ProblemSpec"]
 class ProblemSpec:
     """Weight exponents, Bessel order, frequency, and the integrand f.
 
+    The four numbers are stored as Python floats, whatever real type
+    (numbers.Real) they are given as; any other type, such as a str or a
+    complex, is a DomainError naming the field.
+
     ``integrand`` may be None for moment-only work; operations that sample
     f require it.  f is called once per distinct node, with a Python float,
     and its result is converted to float64 as numpy converts it (None
@@ -32,9 +37,16 @@ class ProblemSpec:
 
     def __post_init__(self):
         for name in ("alpha", "beta", "nu", "omega"):
-            if not math.isfinite(getattr(self, name)):
-                raise DomainError(
-                    f"{name} must be finite, got {getattr(self, name)}")
+            v = getattr(self, name)
+            if not isinstance(v, numbers.Real):
+                raise DomainError(f"{name} must be a real number, got {v!r}")
+            try:
+                x = float(v)
+            except OverflowError:       # an int or Fraction past the doubles
+                x = math.inf
+            if not math.isfinite(x):
+                raise DomainError(f"{name} must be finite, got {v}")
+            object.__setattr__(self, name, x)
         if not self.alpha > -1.0:
             raise DomainError(f"alpha must be > -1, got {self.alpha}")
         if not self.beta > -1.0:

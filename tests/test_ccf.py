@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -265,6 +267,23 @@ class TestTableCache:
         assert specs[1].moment_key() not in ccf._TABLE_CACHE
         assert ccf._TABLE_CACHE[specs[0].moment_key()] is first
         assert specs[-1].moment_key() in ccf._TABLE_CACHE
+        clear_moment_cache()
+
+    def test_cached_table_keeps_no_integrand_alive(self):
+        # The cached table held the caller's whole spec, f included, so
+        # the cache pinned up to _CACHE_CAPACITY integrands and all they
+        # closed over.
+        clear_moment_cache()
+
+        def f(x):
+            return x
+        ref = weakref.ref(f)
+        ccf_integrate(ProblemSpec(0.2, 0.4, 0.0, 20.0, integrand=f), 16)
+        table = ccf._TABLE_CACHE[(0.2, 0.4, 0.0, 20.0)]
+        assert table.spec == ProblemSpec(0.2, 0.4, 0.0, 20.0)
+        del f
+        gc.collect()
+        assert ref() is None
         clear_moment_cache()
 
     def test_keeps_a_larger_table_stored_meanwhile(self, monkeypatch):
