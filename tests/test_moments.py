@@ -283,6 +283,16 @@ class TestPowerMoment:
             got = float(power_moment(0.2, 0.4, 0.0, w)[0][0])
             assert abs(got - beta) <= 1e-6 * beta, w
 
+    @pytest.mark.parametrize("a, b, nu", [(0.2, 0.4, 0.0),
+                                          (-0.8, -0.9, 2.5),
+                                          (0.6, -0.4, 7.0)])
+    def test_err_est_bounds_error(self, a, b, nu):
+        for w in (20.0, 1000.0, 2000.0, 1e4, 1e5):
+            [(value, err_est)] = power_moment(a, b, nu, w)
+            with mp.workprec(600):
+                err = abs(value - power_moment_600(a, b, nu, w))
+            assert err <= err_est, (w, float(err), err_est)
+
     @pytest.mark.parametrize("a, b, nu, omegas", [
         *[(*abn, (1e-3, 1.0, 20.0, 200.0, 1000.0, 1447.0,
                   1449.0, 2000.0, 1e4, 1e5)) for abn in (
