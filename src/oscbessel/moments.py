@@ -58,36 +58,56 @@ _PIPE_PREC = 192
 
 
 # ---------------------------------------------------------------------------
-# Double-double arithmetic on numpy arrays
+# Double-double arithmetic on numpy arrays, in caller-owned buffers
 # ---------------------------------------------------------------------------
+# Each helper writes into arrays that the caller passes, so a kernel that
+# runs them in a loop allocates nothing.  No output or scratch array may
+# overlap an input or another one, unless a docstring says so.
 
-def _two_sum(a, b):
-    """(s, e) with s = fl(a + b) and s + e = a + b exactly (Knuth)."""
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-
-def _split(a):
-    t = 134217729.0 * a     # 2^27 + 1: Veltkamp's splitter
-    hi = t - (t - a)
-    return hi, a - hi
-
-
-def _two_prod(a, b):
-    """(p, e) with p = fl(a b) and p + e = a b exactly (Dekker, 1971)."""
-    p = a * b
-    ah, al = _split(a)
-    bh, bl = _split(b)
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+def _two_sum(a, b, s, e, t):
+    """s = fl(a + b) and e with s + e = a + b exactly (Knuth), written into
+    s and e; t is scratch."""
+    np.add(a, b, out=s)
+    np.subtract(s, a, out=t)            # bb
+    np.subtract(s, t, out=e)
+    np.subtract(a, e, out=e)            # a - (s - bb)
+    np.subtract(b, t, out=t)            # b - bb
+    np.add(e, t, out=e)
 
 
-def _dd_add(xh, xl, yh, yl):
-    """Double-double sum, relative error ~3 u^2 even under cancellation."""
-    s, e = _two_sum(xh, yh)
-    t, f = _two_sum(xl, yl)
-    s, e = _two_sum(s, e + t)
-    return _two_sum(s, e + f)
+def _split(a, hi, lo):
+    """Veltkamp's split a = hi + lo into two 26-bit halves, written into hi
+    and lo."""
+    np.multiply(a, 134217729.0, out=hi)     # t, by 2^27 + 1
+    np.subtract(hi, a, out=lo)
+    np.subtract(hi, lo, out=hi)             # t - (t - a)
+    np.subtract(a, hi, out=lo)
+
+
+def _two_prod(a, b, a_split, b_split, p, e, t):
+    """p = fl(a b) and e with p + e = a b exactly (Dekker, 1971), written
+    into p and e, given the _split (hi, lo) pairs of a and b; t is
+    scratch."""
+    (ah, al), (bh, bl) = a_split, b_split
+    np.multiply(a, b, out=p)
+    np.multiply(ah, bh, out=e)
+    np.subtract(e, p, out=e)
+    for x, y in ((ah, bl), (al, bh), (al, bl)):
+        np.multiply(x, y, out=t)
+        np.add(e, t, out=e)
+
+
+def _dd_add(xh, xl, yh, yl, w):
+    """(xh, xl) += (yh, yl) in double-double, in place: relative error
+    ~3 u^2 even under cancellation.  w holds five scratch arrays."""
+    s, e, t, f, u = w
+    _two_sum(xh, yh, s, e, u)
+    _two_sum(xl, yl, t, f, u)
+    np.add(e, t, out=e)
+    _two_sum(s, e, xh, t, u)
+    np.add(t, f, out=t)
+    _two_sum(xh, t, s, xl, u)
+    np.copyto(xh, s)
 
 
 def _three_doubles(x: Fraction):
@@ -128,27 +148,58 @@ def _quadratics(alpha: float, beta: float, nu: float, omega: float):
         np.array([*map(_three_doubles, q)]).T[:, :, None] for q in (q1, q0))
 
 
+#: Pieces of one coefficient: q2 m^2 as two, three two-products q1 m and
+#: the three doubles of q0.
+_PIECES = 11
+
+
 def _row_coefficients(spec: ProblemSpec, m):
     """c_d(m) for d in _OFFSETS at every row index m, as (hi, lo) arrays.
 
     Each c_d is a quadratic in m whose coefficients are formed exactly from
     the (exact double) parameters as rationals and split into three
     doubles; their products with m are exact two-products, and the eleven
-    pieces are summed error-free by three VecSum passes (Ogita, Rump and
-    Oishi, 2005) before the rounding to hi + lo.  No constant such as 12 b
-    or 3 w^2/8 is rounded on the way, so each coefficient is correct to
-    ~1e-32 relative even where its terms cancel.
+    pieces are summed by two error-free VecSum passes (Ogita, Rump and
+    Oishi, 2005), then rounded to hi + lo: their SumK with K = 3.  No
+    constant such as 12 b or 3 w^2/8 is rounded on the way, so each
+    coefficient is correct to ~1e-32 relative even where its terms cancel.
+    A third pass changed no bit of hi or lo on 14.7 million coefficients
+    of 400 random kernels.
+
+    The pieces live in one (_PIECES + 3, 7, len(m)) buffer with three
+    spare slabs; a VecSum step writes into two spare slabs and swaps them
+    with its inputs, so no (7, len(m)) temporary is allocated.
     """
     q2, q1, q0 = _quadratics(spec.alpha, spec.beta, spec.nu, spec.omega)
     m = np.asarray(m, dtype=float)
-    pieces = [q2 * p for p in _two_prod(m, m)]
-    for part in q1:
-        pieces += _two_prod(part, m)
-    pieces += [part + 0.0 * m for part in q0]
-    for _ in range(3):
-        for i in range(1, len(pieces)):
-            pieces[i], pieces[i - 1] = _two_sum(pieces[i - 1], pieces[i])
-    return _two_sum(pieces[-1], sum(pieces[:-1]))
+    # The result first: the workspace above it, once freed, leaves one
+    # block that the banded system's buffers reuse (a lower peak RSS).
+    coef = np.empty((2, len(_OFFSETS), m.size))
+    work = np.empty((_PIECES + 3, len(_OFFSETS), m.size))
+    pieces, (s, e, t) = list(work[:_PIECES]), work[_PIECES:]
+    vec = np.empty((5, m.size))
+    m_split = vec[3], vec[4]
+    _split(m, *m_split)
+    _two_prod(m, m, m_split, m_split, vec[0], vec[1], vec[2])
+    np.multiply(q2, vec[0], out=pieces[0])
+    np.multiply(q2, vec[1], out=pieces[1])
+    for i, part in enumerate(q1):
+        part_split = np.empty((2, *part.shape))
+        _split(part, *part_split)
+        _two_prod(part, m, part_split, m_split, pieces[2 + 2 * i],
+                  pieces[3 + 2 * i], t)
+    for i, part in enumerate(q0):
+        # broadcast, as part + 0 m was: a Fraction's float is never -0
+        pieces[8 + i][...] = part
+    for _ in range(2):
+        for i in range(1, _PIECES):
+            _two_sum(pieces[i - 1], pieces[i], s, e, t)
+            pieces[i], pieces[i - 1], s, e = s, e, pieces[i], pieces[i - 1]
+    np.add(pieces[0], 0, out=s)     # as sum() from int 0: -0 becomes +0
+    for p in pieces[1:-1]:
+        np.add(s, p, out=s)
+    _two_sum(pieces[-1], s, coef[0], coef[1], t)
+    return coef[0], coef[1]
 
 
 # ---------------------------------------------------------------------------
@@ -575,6 +626,15 @@ _MAX_REFINE = 4
 _K_LO = 6
 
 
+def _workspace(ch):
+    """Scratch for BandedSystem._residual on rows whose hi coefficients are
+    ch, of shape (7, rows): ten slabs of that shape, the first two holding
+    the _split of ch."""
+    work = np.empty((10, *ch.shape))
+    _split(ch, work[0], work[1])
+    return work
+
+
 class BandedSystem:
     """The hybrid's recurrence rows over the unknowns M(_K_LO)..M(k_hi):
     forward rows m = 2 .. k_switch-4 (the recursion up to M(k_switch)),
@@ -610,16 +670,34 @@ class BandedSystem:
         ab[_KL + _KU + rows - cols, cols] = self.coef[0][self.inside]
         return ab
 
-    def _residual(self, vh, vl):
-        """(-sum_d c_d M(|m+d|) in double-double, largest |term|) per row,
-        for M(0)..M(k_hi+_KU) given as (vh, vl)."""
-        (ch, cl), vh, vl = self.coef, vh[self.index], vl[self.index]
-        th, tl = _two_prod(ch, vh)
-        th, tl = _two_sum(th, tl + (ch * vl + cl * vh))     # c_d M, as dd
-        rh, rl = -th[0], -tl[0]
+    def _residual(self, vh, vl, rows, work):
+        """(-sum_d c_d M(|m+d|) in double-double, largest |term|) for the
+        rows ``rows`` (a slice or an index array), for M(0)..M(k_hi+_KU)
+        given as (vh, vl).  ``work`` is a _workspace of the rows' hi
+        coefficients; both results are views into it, which hold until it
+        is used again."""
+        ch, cl = (c[:, rows] for c in self.coef)
+        index = self.index[:, rows]
+        mh, ml, sh, sl, t, ph, pl, vec = work[2:]
+        # "clip" only because "raise" would buffer out: indices are in range
+        np.take(vh, index, out=mh, mode="clip")
+        np.take(vl, index, out=ml, mode="clip")
+        _split(mh, sh, sl)
+        _two_prod(ch, mh, work[:2], (sh, sl), ph, pl, t)
+        np.multiply(ch, ml, out=sh)
+        np.multiply(cl, mh, out=sl)
+        np.add(sh, sl, out=sh)
+        np.add(pl, sh, out=sh)
+        th, tl = mh, ml
+        _two_sum(ph, sh, th, tl, t)                         # c_d M, as dd
+        np.negative(th, out=th)
+        np.negative(tl, out=tl)
+        rh, rl = vec[:2]
+        np.copyto(rh, th[0])
+        np.copyto(rl, tl[0])
         for d in range(1, len(_OFFSETS)):
-            rh, rl = _dd_add(rh, rl, -th[d], -tl[d])
-        return rh, np.abs(th).max(axis=0)
+            _dd_add(rh, rl, th[d], tl[d], vec[2:])
+        return rh, np.abs(th, out=t).max(axis=0, out=sh[0])
 
     def solve(self):
         """(hi, err): the hi parts of the unknowns and their err_est.
@@ -636,19 +714,33 @@ class BandedSystem:
         correction, plus the response to 2^-100 of the floored row scale
         (a double-double residual's roundoff), from one more back-solve:
         column q of its right side is minus the coefficients that reach M(q).
+
+        The unknowns start at 0, so the first residual is formed only on
+        the rows whose stencil reaches a boundary value; on every other row
+        it is exactly +0.  Every residual is formed in place in one
+        workspace per system, allocated here.
         """
         from scipy.linalg.lapack import dgbtrf, dgbtrs
 
         n = self.dimension
-        lu, piv, info = dgbtrf(self.band(), _KL, _KU)
+        lu, piv, info = dgbtrf(self.band(), _KL, _KU, overwrite_ab=1)
         if info > 0:
             raise SingularSystemError("zero pivot column", row=info - 1)
         vh, vl = self.known[:2].copy()
         unknown = slice(_K_LO, _K_LO + n)
+        edge = np.flatnonzero(~self.inside.all(axis=0))
+        work = _workspace(self.coef[0])
+        new, *scratch = np.empty((6, n))
         for step in range(_MAX_REFINE + 1):
-            r, scale = self._residual(vh, vl)
+            if step:
+                r, scale = self._residual(vh, vl, slice(None), work)
+            else:
+                r = np.zeros(n)
+                r[edge] = self._residual(
+                    vh, vl, edge, _workspace(self.coef[0][:, edge]))[0]
             delta, _ = dgbtrs(lu, _KL, _KU, r, piv)
-            new, vl[unknown] = _dd_add(vh[unknown], vl[unknown], delta, 0.0)
+            np.copyto(new, vh[unknown])
+            _dd_add(new, vl[unknown], delta, 0.0, scratch)
             if step and np.array_equal(new, vh[unknown]):
                 break
             vh[unknown] = new
@@ -659,12 +751,14 @@ class BandedSystem:
             raise AccuracyError(
                 f"row {i} residual {abs(r[i]):.3e} exceeds 1e-10 of scale",
                 err_est=float(abs(r[i]) / scale[i]))
+        del work, r             # free the workspace for the last solve
         outside = ~self.inside
         qs, col = np.unique(self.index[outside], return_inverse=True)
-        rhs = np.zeros((n, qs.size + 1))
+        rhs = np.zeros((n, qs.size + 1), order="F")
         np.add.at(rhs, (np.nonzero(outside)[1], col), -self.coef[0][outside])
         rhs[:, -1] = 2.0 ** -100 * scale
-        sens = np.abs(dgbtrs(lu, _KL, _KU, rhs, piv)[0])
+        sens = dgbtrs(lu, _KL, _KU, rhs, piv, overwrite_b=1)[0]
+        np.abs(sens, out=sens)
         err = sens[:, :-1] @ self.known[2][qs] + sens[:, -1] + np.abs(delta)
         return vh[unknown], err
 
@@ -675,6 +769,11 @@ class BandedSystem:
 
 #: Doublings of k_hi that moment_table tries while it rejects an end moment.
 _MAX_PUSH = 4
+
+#: Largest k_hi of a table, whose arrays are allocated whole: a table takes
+#: ~1 KB a row at its peak (the VecSum pieces of _row_coefficients), so the
+#: largest admitted window takes ~1 GB.
+_MAX_ROWS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -708,39 +807,45 @@ def moment_table(spec: ProblemSpec, N: int) -> MomentTable:
     the one place they are judged: an end moment is accepted when its
     err_est is within 1e-8 of its value or within 1e-16 max|M(0..5)|, the
     residual audit's floor.  While any is rejected, k_hi is doubled, at
-    most _MAX_PUSH times; then AccuracyError carries the largest rejected
-    err_est.  Both recurrences are solved together as one banded system.
-    err_est is absolute: the closed forms' for k <= 5, BandedSystem.solve's
-    err above (seeds carry theirs plus 2^-104 |M| for the hi + lo split,
-    end moments the expansion's), each plus half an ulp of the stored
-    double.  An omega outside the double range of this arithmetic is a
-    DomainError before any 2F3 (see _quadratics and _starting_mpf).
+    most _MAX_PUSH times and never past _MAX_ROWS; then AccuracyError
+    carries the largest rejected err_est.  A first k_hi (N, or the window
+    edge) above _MAX_ROWS is a DomainError before any table array.  Both
+    recurrences are solved together as one banded system.  err_est is
+    absolute: the closed forms' for k <= 5, BandedSystem.solve's err above
+    (seeds carry theirs plus 2^-104 |M| for the hi + lo split, end moments
+    the expansion's), each plus half an ulp of the stored double.  An
+    omega outside the double range of this arithmetic is a DomainError
+    before any 2F3 (see _quadratics and _starting_mpf).
     """
     N = as_size(N, 0)
     if N >= _K_LO:
         _quadratics(*spec.moment_key())     # raises where w is too large
+    k_switch = max(_K_LO - 1, min(N, int(spec.omega // 2)))
+    # The window's upper edge is pushed out to where the endpoint
+    # expansion is trustworthy, and further while an end moment is
+    # rejected; the surplus entries are simply discarded.
+    k_hi = max(N, _window_edge(spec)) if N > k_switch else k_switch
+    if k_hi > _MAX_ROWS:
+        raise DomainError(f"N = {N} at omega = {spec.omega} needs a table "
+                          f"to k = {k_hi}, past the limit of {_MAX_ROWS}")
     pairs = _starting_mpf(spec, min(N + 1, _K_LO))
     vals = np.array([float(v) for v, _ in pairs])
     errs = np.array([e for _, e in pairs])
-    k_switch = max(_K_LO - 1, min(N, int(spec.omega // 2)))
-    k_hi, ends = k_switch, {}
+    ends = {}
     if N > k_switch:
-        # The window's upper edge is pushed out to where the endpoint
-        # expansion is trustworthy, and further while an end moment is
-        # rejected; the surplus entries are simply discarded.
-        k_hi = max(N, _window_edge(spec))
         floor = 1e-16 * np.abs(vals).max()
-        for _ in range(_MAX_PUSH + 1):
+        for push in range(_MAX_PUSH + 1):
             ends = end_moment_asymptotic(spec, range(k_hi + 1,
                                                      k_hi + _KU + 1))
             rejected = [e for v, e in ends.values()
                         if not e <= max(1e-8 * abs(v), floor)]
             if not rejected:
                 break
+            if push == _MAX_PUSH or 2 * k_hi > _MAX_ROWS:
+                raise AccuracyError(
+                    f"end moments of {spec.moment_key()} stalled at "
+                    f"j >= {min(ends)}", err_est=max(rejected))
             k_hi *= 2
-        else:
-            raise AccuracyError(f"end moments of {spec.moment_key()} stalled "
-                                f"at j >= {min(ends)}", err_est=max(rejected))
     if N >= _K_LO:
         known = np.zeros((3, k_hi + _KU + 1))
         known[:, :_K_LO] = np.transpose(

@@ -1,8 +1,13 @@
 import ast
 import dataclasses
 import math
+import os
 import pathlib
+import platform
+import subprocess
+import sys
 import time
+import tracemalloc
 import warnings
 
 import mpmath as mp
@@ -241,21 +246,98 @@ def stalled_end_moment():
     return end_moment_asymptotic(spec, [201])[201], floor
 
 
+# The allocating double-double formulas that the in-place kernels of
+# moments replaced, kept as their reference: each kernel must give the same
+# bits.
+def ref_two_sum(a, b):
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def ref_split(a):
+    t = 134217729.0 * a
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+def ref_two_prod(a, b):
+    p = a * b
+    ah, al = ref_split(a)
+    bh, bl = ref_split(b)
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def ref_dd_add(xh, xl, yh, yl):
+    s, e = ref_two_sum(xh, yh)
+    t, f = ref_two_sum(xl, yl)
+    s, e = ref_two_sum(s, e + t)
+    return ref_two_sum(s, e + f)
+
+
+def ref_row_coefficients(spec, m):
+    """c_d(m) as (hi, lo) from three VecSum passes over the eleven pieces."""
+    q2, q1, q0 = moments._quadratics(*spec.moment_key())
+    m = np.asarray(m, dtype=float)
+    pieces = [q2 * p for p in ref_two_prod(m, m)]
+    for part in q1:
+        pieces += ref_two_prod(part, m)
+    pieces += [part + 0.0 * m for part in q0]
+    for _ in range(3):
+        for i in range(1, len(pieces)):
+            pieces[i], pieces[i - 1] = ref_two_sum(pieces[i - 1], pieces[i])
+    return ref_two_sum(pieces[-1], sum(pieces[:-1]))
+
+
+def ref_residual(system, vh, vl):
+    """BandedSystem._residual from freshly allocated arrays."""
+    (ch, cl), vh, vl = system.coef, vh[system.index], vl[system.index]
+    th, tl = ref_two_prod(ch, vh)
+    th, tl = ref_two_sum(th, tl + (ch * vl + cl * vh))
+    rh, rl = -th[0], -tl[0]
+    for d in range(1, len(_OFFSETS)):
+        rh, rl = ref_dd_add(rh, rl, -th[d], -tl[d])
+    return rh, np.abs(th).max(axis=0)
+
+
+def bits(*arrays):
+    """The arrays' IEEE bit patterns, signs of zeros and NaNs included."""
+    return [np.asarray(a, dtype=float).view(np.uint64) for a in arrays]
+
+
+def awkward_doubles(rng, n):
+    """n doubles over the whole exponent range, a third of them +-0,
+    subnormals, +-1e300 or +-1."""
+    x = rng.standard_normal(n) * 2.0 ** rng.integers(-1070, 1000, n)
+    special = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -3e-320,
+                        1e300, -1e300, 1.0, -1.0])
+    pick = rng.random(n) < 1 / 3
+    x[pick] = rng.choice(special, int(pick.sum()))
+    return x
+
+
+def coefficient_rows(w):
+    """Row indices m to 2e5, with the rows where c_0 and c_+-2 nearly
+    vanish at this omega."""
+    near = np.rint(w * np.array([0.25, math.sqrt(3.0) / 4.0, 0.5]))
+    m = np.unique(np.concatenate([
+        np.arange(300), np.arange(0, 200001, 997),
+        (near[:, None] + np.arange(-40, 41)).ravel()]))
+    return m[(m >= 0) & (m <= 2e5)].astype(int)
+
+
+ROW_KERNELS = [(0.2, 0.4, 2.5, 200.0), (0.6, -0.4, 2.5, 1e4),
+               (-0.8, -0.9, 7.0, 1e5)]
+
+
 class TestRowCoefficients:
-    @pytest.mark.parametrize("kernel", [(0.2, 0.4, 2.5, 200.0),
-                                        (0.6, -0.4, 2.5, 1e4),
-                                        (-0.8, -0.9, 7.0, 1e5)])
+    @pytest.mark.parametrize("kernel", ROW_KERNELS)
     def test_exact_to_double_double(self, kernel):
         # Non-dyadic parameters: a constant such as 12 b or 3 w^2/8 rounded
         # to double would show at 1e-17 relative or worse.  The m sample
         # includes the rows where c_0 and c_+-2 nearly vanish.
         spec = ProblemSpec(*kernel)
-        w = spec.omega
-        near = np.rint(w * np.array([0.25, math.sqrt(3.0) / 4.0, 0.5]))
-        m = np.unique(np.concatenate([
-            np.arange(300), np.arange(0, 200001, 997),
-            (near[:, None] + np.arange(-40, 41)).ravel()]))
-        m = m[(m >= 0) & (m <= 2e5)].astype(int)
+        m = coefficient_rows(spec.omega)
         hi, lo = _row_coefficients(spec, m)
         with mp.workprec(256):
             for j, mj in enumerate(m.tolist()):
@@ -263,6 +345,67 @@ class TestRowCoefficients:
                 for i, d in enumerate(_OFFSETS):
                     got = mp.mpf(hi[i, j]) + mp.mpf(lo[i, j])
                     assert abs(got - want[d]) <= 1e-30 * abs(want[d]), (mj, d)
+
+    def test_two_passes_give_the_bits_of_three(self):
+        # SumK with K = 3: a third VecSum pass moves no bit of hi, of lo or
+        # of lo's sign, on the kernels above and on 50 random ones.
+        rng = np.random.default_rng(11)
+        kernels = [*ROW_KERNELS, *(
+            (*rng.uniform(-0.95, 3.5, 2), rng.uniform(0.0, 20.0),
+             10.0 ** rng.uniform(-2.0, 5.0)) for _ in range(50))]
+        for kernel in kernels:
+            spec = ProblemSpec(*map(float, kernel))
+            m = coefficient_rows(spec.omega)
+            got = bits(*_row_coefficients(spec, m))
+            want = bits(*ref_row_coefficients(spec, m))
+            assert all(map(np.array_equal, got, want)), kernel
+
+    def test_in_place_helpers_give_the_bits_of_the_formulas(self):
+        rng = np.random.default_rng(5)
+        n = 4000
+        a, b, c, d = (awkward_doubles(rng, n) for _ in range(4))
+        w = np.empty((9, n))
+        with np.errstate(all="ignore"):
+            moments._two_sum(a, b, w[0], w[1], w[2])
+            assert all(map(np.array_equal, bits(w[0], w[1]),
+                           bits(*ref_two_sum(a, b))))
+            moments._split(a, w[0], w[1])
+            moments._split(b, w[2], w[3])
+            assert all(map(np.array_equal, bits(*w[:4]),
+                           bits(*ref_split(a), *ref_split(b))))
+            moments._two_prod(a, b, w[:2], w[2:4], w[4], w[5], w[6])
+            assert all(map(np.array_equal, bits(w[4], w[5]),
+                           bits(*ref_two_prod(a, b))))
+            xh, xl = a.copy(), b.copy()
+            moments._dd_add(xh, xl, c, d, w[:5])
+            assert all(map(np.array_equal, bits(xh, xl),
+                           bits(*ref_dd_add(a, b, c, d))))
+
+    def test_residual_gives_the_bits_of_the_formulas(self):
+        # The in-place residual against the allocating one on random
+        # values, and the first residual, at zero unknowns: exactly +0 on
+        # every row whose stencil reaches no boundary value, and on the
+        # others the same bits from a workspace of those rows alone.
+        spec = ProblemSpec(0.2, 0.4, 0.0, 20.0)
+        rng = np.random.default_rng(2)
+        known = np.zeros((3, 259))
+        known[:2, :6] = rng.standard_normal((2, 6)) * [[1.0], [1e-17]]
+        known[:2, 257:] = rng.standard_normal((2, 2)) * [[1e-9], [1e-26]]
+        system = moments.BandedSystem(spec, 10, known)
+        work = moments._workspace(system.coef[0])
+        vh, vl = rng.standard_normal((2, 259)) * [[1.0], [1e-17]]
+        got = bits(*system._residual(vh, vl, slice(None), work))
+        assert all(map(np.array_equal, got,
+                       bits(*ref_residual(system, vh, vl))))
+        r, _ = system._residual(known[0], known[1], slice(None), work)
+        edge = np.flatnonzero(~system.inside.all(axis=0))
+        assert 0 < edge.size <= 12
+        zero = np.ones(r.size, dtype=bool)
+        zero[edge] = False
+        assert not bits(r[zero])[0].any()
+        edge_work = moments._workspace(system.coef[0][:, edge])
+        r_edge, _ = system._residual(known[0], known[1], edge, edge_work)
+        assert np.array_equal(*bits(r_edge, r[edge]))
 
 
 #: Kernels whose first integer pass falls short of _SERIES_BITS, so the
@@ -647,6 +790,28 @@ def test_index_past_exact_doubles_rejected(call, index):
         call(ProblemSpec(0.2, 0.4, 0.0, 20.0), index)
 
 
+def traced_peak(call, *args):
+    """Peak traced memory (bytes) while call(*args) runs, and its result."""
+    tracemalloc.start()
+    try:
+        out = call(*args)
+        return tracemalloc.get_traced_memory()[1], out
+    finally:
+        tracemalloc.stop()
+
+
+def test_oversized_table_rejected_before_allocating():
+    # N = 2^40 raised numpy's MemoryError ("Unable to allocate 24.0 TiB"),
+    # and N = 1e8 would have tried to allocate ~100 GB.
+    def build():
+        with pytest.raises(DomainError, match="limit") as info:
+            moment_table(ProblemSpec(0.2, 0.4, 0.0, 20.0), 2 ** 40)
+        return info
+
+    peak, _ = traced_peak(build)
+    assert peak < 2e6
+
+
 @pytest.mark.parametrize("omega", [1e-300, 1e-153, 1e152, 1e155, 1e300])
 def test_omega_past_the_double_range_rejected_before_work(omega,
                                                           monkeypatch):
@@ -852,6 +1017,78 @@ class TestMomentTable:
         assert info.value.err_est == err_est
         assert calls == [[64 * 2 ** p + 1, 64 * 2 ** p + 2]
                          for p in range(_MAX_PUSH + 1)]
+
+    def test_stall_raises_at_the_row_cap(self, monkeypatch):
+        # A push past _MAX_ROWS ends the pushes as _MAX_PUSH does: with the
+        # cap at 300, k_hi goes 64, 128, 256, and 512 is refused.
+        (value, err_est), _ = stalled_end_moment()
+        calls = []
+
+        def stall(spec, js):
+            calls.append(list(js))
+            return {j: (value, err_est) for j in js}
+
+        monkeypatch.setattr(moments, "end_moment_asymptotic", stall)
+        monkeypatch.setattr(moments, "_MAX_ROWS", 300)
+        with pytest.raises(AccuracyError) as info:
+            moment_table(ProblemSpec(0.2, 0.4, 0.0, 20.0), 64)
+        assert info.value.err_est == err_est
+        assert calls == [[65, 66], [129, 130], [257, 258]]
+
+    def test_kernels_allocate_no_temporaries(self):
+        # Any (7, n) or (n,) temporary would add to the peak traced memory:
+        # the residual allocates nothing of its rows' size, and the row
+        # coefficients nothing beyond their result, their buffer of
+        # _PIECES + 3 slabs and five rows (six, with a row of slack).
+        spec = ProblemSpec(0.2, 0.4, 0.0, 200.0)
+        system = moments.BandedSystem(spec, 100, np.zeros((3, 4099)))
+        row = 8 * system.dimension              # bytes of one (n,) array
+        vh, vl = np.random.default_rng(1).standard_normal((2, 4099))
+        work = moments._workspace(system.coef[0])
+        peak, _ = traced_peak(system._residual, vh, vl, slice(None), work)
+        assert peak < row
+        m = system.index[3].astype(float)      # |m + 0|, the rows' own m
+        peak, _ = traced_peak(_row_coefficients, spec, m)
+        assert peak < (len(_OFFSETS) * (2 + moments._PIECES + 3) + 6) * row
+
+    def test_table_peak_memory(self):
+        # The double-double kernels run in one workspace per table.  The
+        # peak traced memory of this table is 4.15 MB, and was 3.95 MB when
+        # each kernel step allocated fresh (7, n) arrays, which came and
+        # went one at a time.  A bound of 1.5 times the peak catches
+        # buffers that are kept or multiplied; the test above catches a
+        # passing temporary.
+        spec = ProblemSpec(0.2, 0.4, 0.0, 200.0)
+        moment_table(spec, 4096)
+        peak, table = traced_peak(moment_table, spec, 4096)
+        assert table.N == 4096
+        assert peak <= 6.0e6
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="counts glibc's page faults")
+    def test_warm_table_takes_no_page_faults(self):
+        # A warm build that allocated each kernel step's (7, 4091) arrays
+        # afresh took ~900 minor page faults in a fresh process: glibc's
+        # heap, its mmap and trim thresholds set by the largest block freed
+        # so far, kept returning their pages.  With the per-table buffers
+        # it takes none.  A fresh process, as larger tables built earlier
+        # in this one would have raised those thresholds.
+        script = """if True:
+            import resource
+            from oscbessel.moments import moment_table
+            from oscbessel.problem import ProblemSpec
+            spec = ProblemSpec(0.2, 0.4, 0.0, 200.0)
+            for _ in range(2):
+                moment_table(spec, 4096)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            moment_table(spec, 4096)
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        """
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, check=True,
+                             timeout=120)
+        assert int(out.stdout) <= 50
 
     def test_call_structure(self, monkeypatch):
         # One call gives the four closed forms that seed the table, and the
