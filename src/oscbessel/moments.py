@@ -10,8 +10,11 @@ the expansion stalls, the far edge of the window is moved outward; the
 oracle never supplies a boundary value.  The
 nine-term recurrence ties M(k-4)..M(k+4) with the offsets +-3 absent; the
 symmetry M(-j) = M(j) resolves every negative index.  M(0)..M(3) come
-from four closed forms (Gamma times a 2F3, whose series is summed in one
-integer pass below mpmath's asymptotic switch) and M(4), M(5) from the
+from the four closed forms I(a+i) = int_0^1 x^(a+i) (1-x)^b J_nu(w x) dx,
+i = 0..3 (Gamma times a 2F3): below w = 600 from one integer pass over
+the 2F3 series, from there on from their large-w expansion as two end
+contributions (the Mellin transform of J_nu at x = 0, Hankel's expansion
+at x = 1), whose cost does not grow with w.  M(4), M(5) come from the
 recurrence rows m = 0, 1 folded by that symmetry, in 192-bit mpmath; both
 recurrences form one float64 banded LU system, refined with double-double
 (hi + lo) residuals.  Both endpoint jets expand the Bessel factor through
@@ -30,7 +33,8 @@ from functools import lru_cache
 import mpmath as mp
 import numpy as np
 
-from .errors import AccuracyError, DomainError, SingularSystemError
+from .errors import (AccuracyError, ConvergenceError, DomainError,
+                     SingularSystemError)
 # Not called here.  The benchmark's tracer wraps moments.reference_moment by
 # name, so the name stays until the tracer reads a diagnostics record.
 from .oracle import reference_moment
@@ -208,8 +212,16 @@ def _row_coefficients(spec: ProblemSpec, m):
 
 #: Below this |z| = w^2/4 mpmath's 2F3 only sums its series (it tries its
 #: asymptotic expansion from mag(z) > 19 on), and power_moment sums the
-#: series itself; from here on it calls the 2F3.
+#: series itself; from here on the 2F3 is its fallback.
 _SERIES_ONLY = 2 ** 19
+
+#: From w = _OMEGA_MIN on power_moment sums the two-end expansion
+#: (_two_end_sums) where nu^2 <= _HANKEL_PEAK[above the switch] w; see
+#: power_moment for both measurements.  The expansion gives up past
+#: _MAX_TERMS terms.
+_OMEGA_MIN = 600.0
+_HANKEL_PEAK = (8.0, 64.0)
+_MAX_TERMS = 1 << 16
 
 #: Relative error (bits) the series pass must reach before its sums are
 #: scaled, and the working precision of the scale K.
@@ -226,13 +238,39 @@ def power_moment(a: float, b: float, nu: float, omega: float,
     With A = a+nu+1 and C = a+b+nu+2, I(a+i) = K q_i(0) F_i, where K =
     Gamma(b+1) Gamma(A) (w/2)^nu / (Gamma(nu+1) Gamma(C+3)), q_i(p) =
     (A+2p)_i (C+2p+i)_(3-i) and F_i = 2F3((A+i)/2, (A+i+1)/2; nu+1,
-    (C+i)/2, (C+i+1)/2; -w^2/4).  Below |z| = w^2/4 = 2^19 the sums
-    q_i(0) F_i come from one integer pass (_series_sums); from there on
-    each is q_i(0) times one mpmath 2F3.  The arguments of each 2F3 and of
-    K are exact rationals, each rounded once to mpf.  Each value is an mpf
-    at the pipeline precision.  err_est, a float, is the sum's relative
-    bound plus the rounding of K and of the sum (16 ulps at _K_PREC) and
-    of the product (half an ulp at the pipeline precision), times |value|.
+    (C+i)/2, (C+i+1)/2; -w^2/4).  Three routes give the four values:
+
+    - From w = _OMEGA_MIN = 600 on, where nu^2 <= 8 w below mpmath's
+      switch (|z| = w^2/4 = 2^19, w ~ 1448.15) and nu^2 <= 64 w above
+      it, I(a+i) is the sum of its two end contributions at large w
+      (_two_end_sums): at x = 0, sum_n (-1)^n C(b, n) m(a+1+i+n) over the
+      Mellin transform m of J_nu, whose values step by m(mu+2) / m(mu) =
+      (nu^2 - mu^2) / w^2; at x = 1, Hankel's a_m(nu) w^-m weighted by
+      the Laplace transforms Gamma(b+1+k) (i w)^-(b+1+k) of t^(b+k).
+      Every ratio is exact, every chain stops on its own, and the terms
+      get fewer as w grows (~750 at w = 1e3, ~80 at 1e9 for (0.2, 0.4,
+      0)): the four take ~1.25 ms at w = 1e3 and ~0.7 ms from w = 1e6 to
+      1e9 (2-core host, warm process).
+    - Below that, the sums q_i(0) F_i from one integer pass over the 2F3
+      series (_series_sums): ~1.5 w terms, ~0.8 ms at w = 300.
+    - Above the switch where nu^2 > 64 w, or where a series of the
+      expansion stalls (its terms diverge before they reach its target,
+      nu comparable to w), q_i(0) times one mpmath 2F3 each: 10-32 ms
+      for the four at nu = 0, ~0.4 s at (nu, w) = (1000, 1449).
+
+    _OMEGA_MIN is the larger of where the expansion meets its 2^-200
+    target (w ~ 300 for nu <= 20) and where it becomes the cheaper route
+    (w ~ 370-580 on seven kernels with nu <= 20, medians of nine warm
+    calls on a 2-core host).  Its Hankel terms peak near e^(nu^2 / 2w):
+    the factor 8 keeps the integer pass where it is cheaper (nu = 200 at
+    w = 1e3: 3.4 ms against 11), and 64 bounds the peak where the
+    alternative is the 2F3 (nu = 300 at w = 1e4: 2 ms against 19 s).
+    The arguments of each 2F3 and of K are exact rationals, each rounded
+    once to mpf.  Each value is an mpf at the pipeline precision.
+    err_est, a float, is the sum's relative bound plus the rounding of K
+    and of the sum (16 ulps at _K_PREC) and of the product (half an ulp at
+    the pipeline precision), times |value|; the expansion's values take
+    K = 1.
     """
     count = as_size(count, 1, "count")
     if count > 4:
@@ -250,29 +288,38 @@ def power_moment(a: float, b: float, nu: float, omega: float,
         # (w/2)^nu of a negative w is complex.
         raise DomainError(f"need omega >= 0, got {omega}")
     a_, b_, n_, w_ = map(Fraction, params)
-    A, C = a_ + n_ + 1, a_ + b_ + n_ + 2
-    # d^3 q_i(p) as cubics in p with integer coefficients
-    d = max(A.denominator, C.denominator)           # a power of two
-    rise_a = [(int((A + k) * d), 2 * d) for k in range(3)]
-    rise_c = [(int((C + k) * d), 2 * d) for k in range(3)]
-    cubics = [_linear_product(rise_a[:i] + rise_c[i:]) for i in range(count)]
-    if w_ * w_ < 4 * _SERIES_ONLY:
-        sums = _series_sums(params, A, n_ + 1, C, cubics)
-    else:
-        sums = []
-        for i, q in enumerate(cubics):
-            with mp.workprec(_PIPE_PREC):
-                args = [_dyadic(x) for x in ((A + i) / 2, (A + i + 1) / 2,
-                                             n_ + 1, (C + i) / 2,
-                                             (C + i + 1) / 2, -w_ * w_ / 4)]
-            h = hyp2f3(*args)
-            with mp.workprec(_K_PREC):
-                sums.append((q[0] * h.value, 2.0 ** -192))  # hyp2f3's bound
-    with mp.workprec(_K_PREC):
-        g = [mp.gamma(_dyadic(x)) for x in (b_ + 1, A, n_ + 1, C + 3)]
-        # K / d^3 (ldexp is exact): each sum carries its cubic's d^3
-        K = mp.ldexp(g[0] * g[1] * _dyadic(w_ / 2) ** _dyadic(n_)
-                     / (g[2] * g[3]), -3 * (d.bit_length() - 1))
+    below = w_ * w_ < 4 * _SERIES_ONLY
+    sums, K = None, 1
+    if omega >= _OMEGA_MIN and nu * nu <= _HANKEL_PEAK[not below] * omega:
+        try:
+            sums = _two_end_sums(params)[0][:count]
+        except (ConvergenceError, OverflowError):
+            pass        # a series stalled, or a ratio passed the doubles
+    if sums is None:
+        A, C = a_ + n_ + 1, a_ + b_ + n_ + 2
+        # d^3 q_i(p) as cubics in p with integer coefficients
+        d = max(A.denominator, C.denominator)           # a power of two
+        rise_a = [(int((A + k) * d), 2 * d) for k in range(3)]
+        rise_c = [(int((C + k) * d), 2 * d) for k in range(3)]
+        cubics = [_linear_product(rise_a[:i] + rise_c[i:])
+                  for i in range(count)]
+        if below:
+            sums = _series_sums(params, A, n_ + 1, C, cubics)
+        else:
+            sums = []
+            for i, q in enumerate(cubics):
+                with mp.workprec(_PIPE_PREC):
+                    args = [_dyadic(x) for x in (
+                        (A + i) / 2, (A + i + 1) / 2, n_ + 1, (C + i) / 2,
+                        (C + i + 1) / 2, -w_ * w_ / 4)]
+                h = hyp2f3(*args)
+                with mp.workprec(_K_PREC):
+                    sums.append((q[0] * h.value, 2.0 ** -192))  # its bound
+        with mp.workprec(_K_PREC):
+            g = [mp.gamma(_dyadic(x)) for x in (b_ + 1, A, n_ + 1, C + 3)]
+            # K / d^3 (ldexp is exact): each sum carries its cubic's d^3
+            K = mp.ldexp(g[0] * g[1] * _dyadic(w_ / 2) ** _dyadic(n_)
+                         / (g[2] * g[3]), -3 * (d.bit_length() - 1))
     out = []
     for s, rel in sums:
         with mp.workprec(_PIPE_PREC):
@@ -354,8 +401,9 @@ def _series_sums(params, A: Fraction, nu1: Fraction, C: Fraction, cubics):
     cancel = 0.0
     if w > 0.0 and a > -1.0:    # B(a+1, b+1) does not exist at a <= -1
         lg = math.lgamma
-        cancel = (nu * math.log(w / 2.0) + lg(a + nu + 1.0) - lg(nu + 1.0)
-                  - lg(a + b + nu + 2.0) - lg(a + 1.0) + lg(a + b + 2.0))
+        cancel = (nu * (math.log(w) - math.log(2.0)) + lg(a + nu + 1.0)
+                  - lg(nu + 1.0) - lg(a + b + nu + 2.0) - lg(a + 1.0)
+                  + lg(a + b + 2.0))
     # A first wp that usually suffices: the cancellation, and P q_i(P) /
     # q_i(0) taken as (2w + 64)^4 for the P ~ 1.5 w terms of the pass.
     wp = _SERIES_BITS + 32 + math.ceil(max(cancel, 0.0) / math.log(2.0)
@@ -373,6 +421,205 @@ def _series_sums(params, A: Fraction, nu1: Fraction, C: Fraction, cubics):
     with mp.workprec(_K_PREC):
         return [(mp.mpf((t, -wp)), e / (abs(t) - e))
                 for t, e in zip(tots, bounds)]
+
+
+def _log2_mellin(mu: float, nu: float, log2_w: float) -> float:
+    """log2 |m(mu)| of the Mellin value m(mu) = 2^(mu-1) Gamma((nu+mu)/2)
+    / Gamma((nu-mu)/2+1) w^-mu, -inf where 1/Gamma is 0."""
+    x = (nu - mu) / 2.0 + 1.0
+    if x <= 0.0 and x == math.floor(x):
+        return -math.inf
+    return (mu - 1.0 - mu * log2_w + (math.lgamma((nu + mu) / 2.0)
+                                      - math.lgamma(x)) / math.log(2.0))
+
+
+def _two_end_sums(params):
+    """([(I(a+i), relative error bound)] for i = 0..3, terms summed) from
+    the large-w expansion of I(a) = int_0^1 x^a (1-x)^b J_nu(w x) dx as the
+    sum of its two end contributions (Erdelyi's endpoint lemma with the
+    Mellin transform of J_nu; Wong, Asymptotic Approximations of
+    Integrals, 1989, ch. 3).  Raises ConvergenceError where a series
+    stalls above its target.
+
+    x = 0: sum_n (-1)^n C(b, n) m(a+1+n), with m(mu) = int_0^inf
+    x^(mu-1) J_nu(w x) dx continued past its strip (DLMF 10.22.43), so
+    m(mu+2) / m(mu) = (nu^2 - mu^2) / w^2.  Each exponent sums its even
+    and its odd n as two chains of exact ratios from Gamma seeds.
+
+    x = 1: with t = 1-x, Hankel's J_nu(z) = Re sqrt(2/(pi z)) e^(i chi)
+    sum_m i^m a_m(nu) z^-m (DLMF 10.17.1, 10.17.5), chi = z - nu pi/2 -
+    pi/4, and int_0^inf t^(b+k) e^(-i w t) dt = Gamma(b+1) (b+1)_k
+    (i w)^-(b+1) (-i/w)^k give P1 Re[e^(i theta) X_i], where P1 =
+    sqrt(2/pi) Gamma(b+1) w^-(b+3/2), theta = w - (2 nu + 2 b + 3) pi/4,
+    X_i = sum_k (b+1)_k (-i/w)^k [t^k] (1-t)^i F(t) and F(t) = sum_m i^m
+    a_m w^-m (1-t)^(a-1/2-m).  Each U(m, k) = a_m w^-m (b+1)_k
+    (m-a+1/2)_k / (k! w^k) is a chain in k of exact ratios from a chain
+    in m; a_m = 0 past m = nu - 1/2 at half-integer nu.  The extra (1-t)^i
+    moves onto the weights: X_i = sum_j C(i, j) (i/w)^j S_j with S_j =
+    sum (b+1+k)_j i^(m-k) U(m, k), so one pass serves every exponent.
+
+    Both ends are summed in fixed point in one unit 2^lg, 2^-224 of the
+    smallest |I(a+i)| as lgamma estimates it.  Every chain stops on its
+    own, so each exponent and each order m has its own stop: at a term of
+    at most one unit whose next ratio is at most 1, or at a ratio of
+    exactly 0, where its series ends (C(b, n) at integer b, m(mu) at a
+    pole of Gamma((nu-mu)/2+1), a_m at half-integer nu, (m-a+1/2)_k at
+    integer m-a+1/2 <= 0).  A series has stalled where its ratio exceeds
+    1 past the region where it can still fall (its terms diverge), where
+    a term outgrows the largest seed by 2^64, or past _MAX_TERMS terms.
+    Error bound: each floor errs by under one unit, and the error it
+    starts grows with the chain's later ratios (tracked in floats), in
+    S_j by at most (b+4+k)^j and in X_i by (1 + (b+4+k_max) / w)^3; each
+    chain's first omitted term is charged as its last term's bound, and
+    the Gamma seeds, the phase and the final sums are rounded at 32 bits
+    past the largest seed.  While the bound exceeds 2^-200 of |I(a+i)|,
+    the sums repeat with the unit lowered by the shortfall.
+    """
+    a, b, nu, w = params
+    a_, b_, n_, w_ = map(Fraction, params)
+    D = 2 * max(x.denominator for x in (a_, b_, n_))    # and of a - 1/2
+    aD, bD, nD, cD = (int(x * D) for x in (a_, b_, n_, a_ - Fraction(1, 2)))
+    W, E = w_.numerator, w_.denominator
+    log2_w = math.log2(w)
+    lm = [_log2_mellin(a + 1.0 + j, nu, log2_w) for j in range(5)]
+    l1 = math.lgamma(b + 1.0) / math.log(2.0) - (b + 1.5) * log2_w
+    est = min(max(lm[i], lm[i + 1], l1) for i in range(4))
+    lg = math.floor(est) - _SERIES_BITS - 24
+    sh = D.bit_length() - 1
+
+    def stalled(what):
+        return ConvergenceError(f"{what} at w = {w}: the two-end sums stall "
+                                "above their target")
+    for _ in range(3):
+        prec = math.ceil(max(lm + [l1])) - lg + 32
+        cap, terms = prec + 32, 0               # 2^64 past the largest seed
+        with mp.workprec(prec):
+            am, bm, nm, wm = map(_dyadic, (a_, b_, n_, w_))
+            L = mp.log(wm)
+            h = mp.exp((am + 1) * (mp.ln2 - L)) / 2       # (2/w)^(a+1) / 2
+            mel = [h * mp.gamma((nm + am + 1) / 2)
+                   * mp.rgamma((nm - am + 1) / 2),
+                   h * 2 / wm * mp.gamma((nm + am + 2) / 2)
+                   * mp.rgamma((nm - am) / 2)]
+            for j in range(2, 5):
+                mu = am + j - 1
+                mel.append(mel[j - 2] * (nm * nm - mu * mu) / (wm * wm))
+            seeds = [(int(mp.nint(mp.ldexp(mel[i], -lg))),
+                      int(mp.nint(mp.ldexp(-bm * mel[i + 1], -lg))))
+                     for i in range(4)]
+            B = int(mp.nint(mp.ldexp(mp.sqrt(2 / mp.pi) * mp.gamma(bm + 1)
+                                     * mp.exp(-(bm + 1.5) * L), -lg)))
+            cw, sw = mp.cos_sin(wm)
+            cs, ss = mp.cospi_sinpi((2 * nm + 2 * bm + 3) / 4)
+            phase = (cw * cs + sw * ss, sw * cs - cw * ss)
+        # x = 0: per exponent, the even and the odd n.  The ratios' powers
+        # of two, D^4 here and D^2 at x = 1, are shifts.
+        ends0 = []
+        for i in range(4):
+            tot, err = 0, 0.0
+            for n, T in enumerate(seeds[i]):
+                e = 1.0
+                mu = aD + (1 + i + n) * D
+                while True:
+                    tot += T
+                    err += e
+                    terms += 1
+                    rn = ((n * D - bD) * ((n + 1) * D - bD)
+                          * (nD - mu) * (nD + mu) * E * E)
+                    rd = (n + 1) * (n + 2) * W * W
+                    r = math.ldexp(abs(rn) / rd, -4 * sh)
+                    if r <= 1.0:
+                        if -1 <= T <= 1 or not rn:
+                            break
+                    elif (mu > nD and n > b) or T.bit_length() > cap:
+                        raise stalled(f"x = 0 terms diverge at n = {n}")
+                    if terms > _MAX_TERMS:
+                        raise stalled(f"{terms} terms")
+                    T = (T * rn >> 4 * sh) // rd
+                    e = e * r + 1.0
+                    n += 2
+                    mu += 2 * D
+                err += e + 1.0
+            ends0.append((tot, err))
+        # x = 1: V[k][q] sums U(m, k) over m - k = q (mod 4)
+        V, eB, m, err1 = [], 1.0, 0, 0.0
+        while True:
+            U, e, k = B, eB, 0
+            x1, x2, rd = (bD + D) * E, m * D - cD, W
+            while True:
+                if k == len(V):
+                    V.append([0, 0, 0, 0])
+                V[k][(m - k) & 3] += U
+                err1 += e
+                rn = x1 * x2
+                r = math.ldexp(abs(rn) / rd, -2 * sh)
+                if r <= 1.0:
+                    if -1 <= U <= 1 or not rn:
+                        break
+                elif (k > abs(m - a + 0.5) + b + 3
+                      or U.bit_length() > cap):
+                    raise stalled(f"x = 1 terms diverge at m = {m}, k = {k}")
+                if k > _MAX_TERMS:
+                    raise stalled(f"{k} terms at m = {m}")
+                U = (U * rn >> 2 * sh) // rd
+                e = e * r + 1.0
+                k += 1
+                x1 += D * E
+                x2 += D
+                rd += W
+            err1 += e + 1.0
+            terms += k + 1
+            rn = (4 * nD * nD - (2 * m + 1) ** 2 * D * D) * E
+            rd = 8 * (m + 1) * W
+            r = math.ldexp(abs(rn) / rd, -2 * sh)
+            if r <= 1.0:
+                if -1 <= B <= 1 or not rn:
+                    break
+            elif 2 * m > 2 * nu + 1 or B.bit_length() > cap:
+                raise stalled(f"Hankel terms diverge at m = {m}")
+            if terms > _MAX_TERMS:
+                raise stalled(f"{terms} terms")
+            B = (B * rn >> 2 * sh) // rd
+            eB = eB * r + 1.0
+            m += 1
+        err1 = (err1 + eB + 1.0) * (1.0 + (b + 4.0 + len(V)) / w) ** 3
+        # S_j D^j = sum_k (b+1+k)_j V_k D^j, exact
+        S = [[0, 0] for _ in range(4)]
+        for k, (v0, v1, v2, v3) in enumerate(V):
+            re, im = v0 - v2, v1 - v3
+            for j, s in enumerate(S):
+                s[0] += re
+                s[1] += im
+                re *= bD + (k + 1 + j) * D
+                im *= bD + (k + 1 + j) * D
+        out, short = [], 0
+        with mp.workprec(prec):
+            # i^j w^-j S_j, then X_i and I(a+i) in units
+            Y = []
+            for j, (sr, si) in enumerate(S):
+                f = mp.ldexp(wm ** -j, -j * sh)
+                sr, si = sr * f, si * f
+                Y.append(((sr, si), (-si, sr), (-sr, -si), (si, -sr))[j])
+            for i in range(4):
+                xr = sum(math.comb(i, j) * Y[j][0] for j in range(i + 1))
+                xi = sum(math.comb(i, j) * Y[j][1] for j in range(i + 1))
+                tot, err = ends0[i]
+                v = tot + xr * phase[0] - xi * phase[1]
+                err = err + err1 + mp.ldexp(abs(tot) + abs(xr) + abs(xi) + 1,
+                                            6 - prec)
+                if not v:
+                    rel, short = math.inf, 2 * _SERIES_BITS
+                else:
+                    rel = float(err / abs(v))
+                    if rel > 0.0:
+                        short = max(short, _SERIES_BITS + 1
+                                    + math.ceil(math.log2(rel)))
+                out.append((mp.ldexp(v, lg), rel))
+        if short <= 0:
+            return out, terms
+        lg -= short + 16
+    raise ConvergenceError(f"the two-end sums fall short of 2^-"
+                           f"{_SERIES_BITS} at w = {w}")
 
 
 #: Integer coefficients c_j of T_k*(x) = sum_j c_j x^(k-j), k = 0..3.

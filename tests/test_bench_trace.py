@@ -42,12 +42,13 @@ def test_traced_table_build(spans):
     assert m["specfun.hyp2f3.max_bits"] == 0
     assert m["moments.oliver.rows"] > 0
     assert m["moments.end_asym.ok_ratio"] == 1
-    # From the switch on, each closed form is one 256-bit mpmath 2F3.
+    # Above the switch the two-end expansion gives all four, again with no
+    # 2F3 span.
     tracer = traced_build(spans, (0.2, 0.4, 0.0, 2000.0), 256)
     m = tracer.metrics(1)
     assert [s.name for s in tracer.spans].count("moments.closed_form") == 1
-    assert m["specfun.hyp2f3.calls"] == 4
-    assert m["specfun.hyp2f3.max_bits"] == 256
+    assert m["specfun.hyp2f3.calls"] == 0
+    assert m["specfun.hyp2f3.max_bits"] == 0
 
 
 @pytest.mark.parametrize("kernel, N, windows", [

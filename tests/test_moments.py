@@ -17,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oscbessel import ccf_integrate, criteria, moments
-from oscbessel.errors import AccuracyError, DomainError, SingularSystemError
+from oscbessel.errors import (AccuracyError, ConvergenceError, DomainError,
+                              SingularSystemError)
 from oscbessel.moments import (_END_TERMS, _MAX_PUSH, _OFFSETS,
                                _SHIFTED_CHEB, MomentTable, _endpoint_jets,
                                _row_coefficients, _starting_mpf,
@@ -408,10 +409,13 @@ class TestRowCoefficients:
         assert np.array_equal(*bits(r_edge, r[edge]))
 
 
-#: Kernels whose first integer pass falls short of _SERIES_BITS, so the
-#: pass repeats at a higher working precision.
-REPEATED_PASS = [(3.5, 3.5, 0.0, (1400.0,)), (0.2, 3.5, 0.0, (1400.0,)),
-                 (12.0, 12.0, 2.5, (300.0,)), (12.0, 12.0, 20.0, (1400.0,))]
+#: (a, b, nu, w) whose first integer pass falls short of _SERIES_BITS, so
+#: the pass repeats at a higher working precision; the integer pass runs
+#: below _OMEGA_MIN only.
+REPEATED_PASS = [(12.0, 12.0, 2.5, 300.0), (12.0, 12.0, 20.0, 500.0)]
+
+#: Either side of the switch from the integer pass to the expansion.
+AROUND_OMEGA_MIN = (moments._OMEGA_MIN - 1.0, moments._OMEGA_MIN + 1.0)
 
 
 class TestPowerMoment:
@@ -437,24 +441,30 @@ class TestPowerMoment:
             assert err <= err_est, (w, float(err), err_est)
 
     @pytest.mark.parametrize("a, b, nu, omegas", [
-        *[(*abn, (1e-3, 1.0, 20.0, 200.0, 1000.0, 1447.0,
-                  1449.0, 2000.0, 1e4, 1e5)) for abn in (
+        *[(*abn, (1e-3, 1.0, 20.0, 200.0, *AROUND_OMEGA_MIN, 1000.0,
+                  1447.0, 1449.0, 2000.0, 1e4, 1e5, 1e6, 1e9)) for abn in (
             (0.2, 0.4, 0.0), (-0.8, -0.9, 2.5), (0.6, -0.4, 7.0),
             (-0.5, -0.5, 1.0))],
         # (w/2)^nu overflows a double, and the sum cancels ~460 bits.
         (0.2, 0.4, 150.0, (1000.0,)),
         # a <= -1 < a + nu: B(a+1, b+1), the first pass's cancellation
         # estimate, does not exist (a bare ValueError below the switch).
-        (-1.0, 0.4, 1.0, (20.0, 2000.0)), (-2.0, 0.4, 1.5, (20.0, 2000.0)),
-        (-1.5, -0.5, 1.0, (20.0, 2000.0)),
-        *REPEATED_PASS])
+        *[(*abn, (20.0, *AROUND_OMEGA_MIN, 2000.0, 1e6)) for abn in (
+            (-1.0, 0.4, 1.0), (-2.0, 0.4, 1.5), (-1.5, -0.5, 1.0))],
+        # Large a and b, on both routes.
+        (3.5, 3.5, 0.0, (599.0, 1400.0)), (0.2, 3.5, 0.0, (599.0, 1400.0)),
+        (12.0, 12.0, 2.5, (300.0, 500.0, 601.0)),
+        (12.0, 12.0, 20.0, (500.0, 1400.0)),
+        # b near -1.
+        (0.2, -0.99, 0.0, (20.0, *AROUND_OMEGA_MIN, 1e4, 1e6, 1e9))])
     def test_closed_forms_against_600_bits(self, a, b, nu, omegas,
                                            monkeypatch):
-        # The four shifted closed forms, from one integer pass below the
-        # asymptotic switch (w ~ 1448.15) and from one 2F3 each above it,
-        # share one prefactor and one error rule: each is within its
-        # err_est of the 600-bit closed form, and err_est is within 2^-188
-        # of the value.
+        # The four shifted closed forms, from one integer pass below
+        # _OMEGA_MIN and from the two-end expansion from there on, are each
+        # within their err_est of the 600-bit closed form, and err_est is
+        # within 2^-188 of the value.  The integer pass repeats where its
+        # first working precision falls short, and does not run where
+        # power_moment takes the expansion.
         passes, original = [], moments._alternating_sums
 
         def counted(wp, *args):
@@ -464,8 +474,12 @@ class TestPowerMoment:
         for w in omegas:
             passes.clear()
             got = power_moment(a, b, nu, w, 4)
-            if (a, b, nu, omegas) in REPEATED_PASS:
+            if (a, b, nu, w) in REPEATED_PASS:
                 assert len(passes) > 1, (w, passes)
+            above = w * w >= 4 * moments._SERIES_ONLY
+            if (w >= moments._OMEGA_MIN
+                    and nu * nu <= moments._HANKEL_PEAK[above] * w):
+                assert passes == [], w
             with mp.workprec(600):
                 for i, (value, err_est) in enumerate(got):
                     err = abs(value - power_moment_600(mp.mpf(a) + i, b, nu,
@@ -473,6 +487,89 @@ class TestPowerMoment:
                     assert math.isfinite(err_est), (w, i)
                     assert err <= err_est <= 2.0 ** -188 * abs(value), (
                         w, i, float(err), err_est)
+
+    @pytest.mark.parametrize("a, b, nu", [(0.2, 0.4, 0.0), (-0.8, -0.9, 2.5),
+                                          (0.6, -0.4, 20.0),
+                                          (3.3861, -0.9, 12.0),
+                                          (12.0, 12.0, 2.5)])
+    def test_expansion_meets_the_integer_pass(self, a, b, nu, monkeypatch):
+        # Just above _OMEGA_MIN both routes apply; they agree within the
+        # sum of their err_est on all four exponents.
+        for w in (moments._OMEGA_MIN + 1.0, 800.0, 1400.0):
+            expansion, _ = moments._two_end_sums((a, b, nu, w))
+            monkeypatch.setattr(moments, "_OMEGA_MIN", math.inf)
+            series = power_moment(a, b, nu, w, 4)
+            monkeypatch.undo()
+            with mp.workprec(600):
+                for i, ((v, rel), (u, err)) in enumerate(zip(expansion,
+                                                             series)):
+                    assert abs(v - u) <= rel * abs(v) + err, (w, i)
+
+    @pytest.mark.parametrize("a, b, nu", [(0.2, 0.4, 0.0), (-0.8, -0.9, 2.5),
+                                          (1.5, 2.0, 7.0), (0.6, -0.4, 20.0),
+                                          (0.2, -0.99, 0.0)])
+    def test_expansion_terms_do_not_grow_with_omega(self, a, b, nu):
+        # Counted work, not wall time: from _OMEGA_MIN to 1e9 the series
+        # terms of the four starts never exceed their count at _OMEGA_MIN,
+        # which stays under 2,000 for nu <= 20.
+        counts = [moments._two_end_sums((a, b, nu, w))[1] for w in (
+            moments._OMEGA_MIN, 1e3, 1e4, 1e5, 1e6, 1e9)]
+        assert counts[0] < 2000, counts
+        assert max(counts) == counts[0], counts
+
+    def test_fallback_where_nu_is_comparable_to_omega(self, monkeypatch):
+        # Above |z| = 2^19 with nu^2 > 64 w the expansion is not tried,
+        # and the four starts are one mpmath 2F3 each; where its terms
+        # diverge before they reach their target, _two_end_sums says so.
+        with pytest.raises(ConvergenceError, match="diverge"):
+            moments._two_end_sums((0.2, 0.4, 300.0, 500.0))
+        calls, original = [], mp.hyp2f3
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(mp, "hyp2f3", counted)
+        got = power_moment(0.2, 0.4, 1000.0, 1449.0, 4)
+        assert len(calls) == 4
+        monkeypatch.undo()
+        with mp.workprec(600):
+            for i, (value, err_est) in enumerate(got):
+                err = abs(value - power_moment_600(mp.mpf(0.2) + i, 0.4,
+                                                   1000.0, 1449.0))
+                assert err <= err_est, (i, float(err), err_est)
+
+    def test_expansion_where_mpmath_2f3_errs(self):
+        # At (-0.5, 2, 2.5, 2000) mpmath 1.3.0's asymptotic 2F3 misses I(a)
+        # by 8.7e-17 relative, at 256 bits and at 600; the expansion agrees
+        # with the 2F3's defining series summed at 4,800 bits.
+        a, b, nu, w = -0.5, 2.0, 2.5, 2000.0
+        [(value, err_est)] = power_moment(a, b, nu, w)
+        with mp.workprec(4800):
+            A1, A2 = mp.mpf(a + nu + 1) / 2, mp.mpf(a + nu + 2) / 2
+            B2, B3 = mp.mpf(a + b + nu + 2) / 2, mp.mpf(a + b + nu + 3) / 2
+            z, term, total, p = -mp.mpf(w) ** 2 / 4, mp.mpf(1), 0, 0
+            while abs(term) > mp.ldexp(abs(total) + 1, -4800):
+                total += term
+                term *= (A1 + p) * (A2 + p) * z / (
+                    (nu + 1 + p) * (B2 + p) * (B3 + p) * (p + 1))
+                p += 1
+            want = (mp.gamma(b + 1) * mp.gamma(a + nu + 1)
+                    * (mp.mpf(w) / 2) ** nu * total
+                    / (mp.gamma(nu + 1) * mp.gamma(a + b + nu + 2)))
+            assert abs(value - want) <= err_est
+
+    def test_smallest_positive_omega(self):
+        # w / 2 underflows to 0 at w = 5e-324, so the integer pass's first
+        # precision estimate must not take log(w / 2).
+        w = 5e-324
+        got = power_moment(0.2, 0.4, 0.0, w, 4)
+        with mp.workprec(600):
+            for i, (value, err_est) in enumerate(got):
+                beta = mp.beta(mp.mpf(0.2) + 1 + i, mp.mpf(0.4) + 1)
+                assert abs(value - beta) <= err_est + 1e-300, i
+        result = ccf_integrate(ProblemSpec(0.2, 0.4, 0.0, w,
+                                           integrand=math.exp), 2)
+        assert math.isfinite(result.value)
 
     @pytest.mark.parametrize("nu, w", [(20.0, 1e17), (7.0, 1e46),
                                        (2.5, 1e126), (2.0, 1e156)])
@@ -1110,10 +1207,11 @@ class TestMomentTable:
         assert calls["power_moment"] == [(0.2, 0.4, 0.0, 20.0, 4)]
         assert len(calls["_smooth_jet"]) == 2
 
-    def test_one_mpmath_2f3_per_closed_form(self, monkeypatch):
-        # Below |z| = w^2/4 = 2^19 (w ~ 1448.15) the four closed forms come
-        # from one integer pass and call no mpmath 2F3; from there on each
-        # evaluates its 2F3 once.
+    def test_no_mpmath_2f3_on_the_table_path(self, monkeypatch):
+        # Below _OMEGA_MIN the four closed forms come from one integer
+        # pass, from there on from the two-end expansion: neither calls
+        # mpmath's 2F3, below its asymptotic switch (|z| = w^2/4 = 2^19,
+        # w ~ 1448.15) or above it.
         calls = []
         original = mp.hyp2f3
 
@@ -1122,11 +1220,9 @@ class TestMomentTable:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(mp, "hyp2f3", counted)
-        for omega, hyp_calls in ((20.0, 0), (1448.0, 0), (1449.0, 4),
-                                 (2000.0, 4)):
-            calls.clear()
+        for omega in (20.0, 1448.0, 1449.0, 2000.0, 1e4, 1e9):
             moment_table(ProblemSpec(0.2, 0.4, 0.0, omega), 256)
-            assert len(calls) == hyp_calls, omega
+            assert calls == [], omega
 
     def test_band_matches_accumulated_entries(self):
         # Forward rows m = 2..6 (k_switch = 10) and Oliver rows up to
