@@ -11,10 +11,10 @@ oracle never supplies a boundary value.  The
 nine-term recurrence ties M(k-4)..M(k+4) with the offsets +-3 absent; the
 symmetry M(-j) = M(j) resolves every negative index.  M(0)..M(3) come
 from the four closed forms I(a+i) = int_0^1 x^(a+i) (1-x)^b J_nu(w x) dx,
-i = 0..3 (Gamma times a 2F3): below w = 600 from one integer pass over
-the 2F3 series, from there on from their large-w expansion as two end
-contributions (the Mellin transform of J_nu at x = 0, Hankel's expansion
-at x = 1), whose cost does not grow with w.  M(4), M(5) come from the
+i = 0..3 (Gamma times a 2F3): from w = 600 on as two end contributions
+(the Mellin transform of J_nu at x = 0, Hankel's expansion at x = 1),
+whose cost does not grow with w, and elsewhere from one integer pass over
+the 2F3 series, whose cost grows like w^2.  M(4), M(5) come from the
 recurrence rows m = 0, 1 folded by that symmetry, in 192-bit mpmath; both
 recurrences form one float64 banded LU system, refined with double-double
 (hi + lo) residuals.  Both endpoint jets expand the Bessel factor through
@@ -35,8 +35,8 @@ import numpy as np
 
 from .errors import (AccuracyError, ConvergenceError, DomainError,
                      SingularSystemError)
-# Not called here.  The benchmark's tracer wraps moments.reference_moment by
-# name, so the name stays until the tracer reads a diagnostics record.
+# Not called here.  The benchmark's tracer wraps reference_moment and hyp2f3
+# by name, so the names stay until the tracer reads a diagnostics record.
 from .oracle import reference_moment
 from .problem import ProblemSpec, as_size
 from .specfun import (bessel_entire_jet, hyp2f3, jet_compose, jet_mul,
@@ -210,15 +210,15 @@ def _row_coefficients(spec: ProblemSpec, m):
 # Closed-form moments
 # ---------------------------------------------------------------------------
 
-#: Below this |z| = w^2/4 mpmath's 2F3 only sums its series (it tries its
-#: asymptotic expansion from mag(z) > 19 on), and power_moment sums the
-#: series itself; from here on the 2F3 is its fallback.
+#: A cost cut: from this |z| = w^2/4 on (w ~ 1448.15), where the integer
+#: pass takes 14 ms or more and grows like w^2, power_moment tries the
+#: expansion up to the higher Hankel peak _HANKEL_PEAK[1].
 _SERIES_ONLY = 2 ** 19
 
 #: From w = _OMEGA_MIN on power_moment sums the two-end expansion
-#: (_two_end_sums) where nu^2 <= _HANKEL_PEAK[above the switch] w; see
-#: power_moment for both measurements.  The expansion gives up past
-#: _MAX_TERMS terms.
+#: (_two_end_sums) where nu^2 <= _HANKEL_PEAK[above _SERIES_ONLY] w; see
+#: power_moment for both measurements.  Past _MAX_TERMS terms the
+#: expansion gives up, and the integer pass does not start.
 _OMEGA_MIN = 600.0
 _HANKEL_PEAK = (8.0, 64.0)
 _MAX_TERMS = 1 << 16
@@ -238,11 +238,11 @@ def power_moment(a: float, b: float, nu: float, omega: float,
     With A = a+nu+1 and C = a+b+nu+2, I(a+i) = K q_i(0) F_i, where K =
     Gamma(b+1) Gamma(A) (w/2)^nu / (Gamma(nu+1) Gamma(C+3)), q_i(p) =
     (A+2p)_i (C+2p+i)_(3-i) and F_i = 2F3((A+i)/2, (A+i+1)/2; nu+1,
-    (C+i)/2, (C+i+1)/2; -w^2/4).  Three routes give the four values:
+    (C+i)/2, (C+i+1)/2; -w^2/4).  Two routes give the four values:
 
-    - From w = _OMEGA_MIN = 600 on, where nu^2 <= 8 w below mpmath's
-      switch (|z| = w^2/4 = 2^19, w ~ 1448.15) and nu^2 <= 64 w above
-      it, I(a+i) is the sum of its two end contributions at large w
+    - From w = _OMEGA_MIN = 600 on, where nu^2 <= 8 w below |z| = w^2/4
+      = 2^19 (w ~ 1448.15) and nu^2 <= 64 w above it, I(a+i) is the sum
+      of its two end contributions at large w
       (_two_end_sums): at x = 0, sum_n (-1)^n C(b, n) m(a+1+i+n) over the
       Mellin transform m of J_nu, whose values step by m(mu+2) / m(mu) =
       (nu^2 - mu^2) / w^2; at x = 1, Hankel's a_m(nu) w^-m weighted by
@@ -251,12 +251,11 @@ def power_moment(a: float, b: float, nu: float, omega: float,
       get fewer as w grows (~750 at w = 1e3, ~80 at 1e9 for (0.2, 0.4,
       0)): the four take ~1.25 ms at w = 1e3 and ~0.7 ms from w = 1e6 to
       1e9 (2-core host, warm process).
-    - Below that, the sums q_i(0) F_i from one integer pass over the 2F3
-      series (_series_sums): ~1.5 w terms, ~0.8 ms at w = 300.
-    - Above the switch where nu^2 > 64 w, or where a series of the
-      expansion stalls (its terms diverge before they reach its target,
-      nu comparable to w), q_i(0) times one mpmath 2F3 each: 10-32 ms
-      for the four at nu = 0, ~0.4 s at (nu, w) = (1000, 1449).
+    - Elsewhere, or where the expansion stalls (its terms diverge before
+      they reach its target: nu, a or b comparable to w), the sums q_i(0)
+      F_i from one integer pass over the 2F3 series (_series_sums): ~1.36
+      w terms of growing size, 0.8 ms at w = 300, 14 ms at 2000, 0.2 s at
+      1e4, 3.3 s at 4.3e4; past ~4.8e4 (nu = 0) a ConvergenceError.
 
     _OMEGA_MIN is the larger of where the expansion meets its 2^-200
     target (w ~ 300 for nu <= 20) and where it becomes the cheaper route
@@ -264,13 +263,14 @@ def power_moment(a: float, b: float, nu: float, omega: float,
     calls on a 2-core host).  Its Hankel terms peak near e^(nu^2 / 2w):
     the factor 8 keeps the integer pass where it is cheaper (nu = 200 at
     w = 1e3: 3.4 ms against 11), and 64 bounds the peak where the
-    alternative is the 2F3 (nu = 300 at w = 1e4: 2 ms against 19 s).
-    The arguments of each 2F3 and of K are exact rationals, each rounded
-    once to mpf.  Each value is an mpf at the pipeline precision.
-    err_est, a float, is the sum's relative bound plus the rounding of K
-    and of the sum (16 ulps at _K_PREC) and of the product (half an ulp at
-    the pipeline precision), times |value|; the expansion's values take
-    K = 1.
+    integer pass costs far more (nu = 300 at w = 1e4: 2.3 ms against
+    0.21 s).  The arguments of K are exact rationals, each rounded once to
+    mpf (from |a| or |b| = 2^53 on, a DomainError: at b = 1e60 the
+    rounding put 1.6e-6 on K).  Each value is an mpf at the pipeline
+    precision.  err_est, a float, is the sum's relative bound plus the
+    rounding of K and of the sum (16 ulps at _K_PREC) and of the product
+    (half an ulp at the pipeline precision), times |value|, and not 0 where
+    the value is not; the expansion's values take K = 1.
     """
     count = as_size(count, 1, "count")
     if count > 4:
@@ -287,10 +287,12 @@ def power_moment(a: float, b: float, nu: float, omega: float,
     if not omega >= 0.0:
         # (w/2)^nu of a negative w is complex.
         raise DomainError(f"need omega >= 0, got {omega}")
+    if max(abs(a), abs(b)) >= 2.0 ** 53:
+        raise DomainError(f"need |a|, |b| < 2^53, got a = {a}, b = {b}")
     a_, b_, n_, w_ = map(Fraction, params)
-    below = w_ * w_ < 4 * _SERIES_ONLY
+    above = w_ * w_ >= 4 * _SERIES_ONLY
     sums, K = None, 1
-    if omega >= _OMEGA_MIN and nu * nu <= _HANKEL_PEAK[not below] * omega:
+    if omega >= _OMEGA_MIN and nu * nu <= _HANKEL_PEAK[above] * omega:
         try:
             sums = _two_end_sums(params)[0][:count]
         except (ConvergenceError, OverflowError):
@@ -303,18 +305,7 @@ def power_moment(a: float, b: float, nu: float, omega: float,
         rise_c = [(int((C + k) * d), 2 * d) for k in range(3)]
         cubics = [_linear_product(rise_a[:i] + rise_c[i:])
                   for i in range(count)]
-        if below:
-            sums = _series_sums(params, A, n_ + 1, C, cubics)
-        else:
-            sums = []
-            for i, q in enumerate(cubics):
-                with mp.workprec(_PIPE_PREC):
-                    args = [_dyadic(x) for x in (
-                        (A + i) / 2, (A + i + 1) / 2, n_ + 1, (C + i) / 2,
-                        (C + i + 1) / 2, -w_ * w_ / 4)]
-                h = hyp2f3(*args)
-                with mp.workprec(_K_PREC):
-                    sums.append((q[0] * h.value, 2.0 ** -192))  # its bound
+        sums = _series_sums(params, A, n_ + 1, C, cubics)
         with mp.workprec(_K_PREC):
             g = [mp.gamma(_dyadic(x)) for x in (b_ + 1, A, n_ + 1, C + 3)]
             # K / d^3 (ldexp is exact): each sum carries its cubic's d^3
@@ -325,7 +316,9 @@ def power_moment(a: float, b: float, nu: float, omega: float,
         with mp.workprec(_PIPE_PREC):
             val = K * s
         rel = 2.0 ** -_PIPE_PREC + 2.0 ** (4 - _K_PREC) + rel
-        out.append((val, rel * float(abs(val))))
+        # a nonzero |val| may underflow a double: at least the least one
+        err = max(rel * float(abs(val)), math.ulp(0.0) if val else 0.0)
+        out.append((val, err))
     return out
 
 
@@ -371,8 +364,8 @@ def _alternating_sums(wp: int, A: Fraction, nu1: Fraction, C: Fraction,
 
 def _series_sums(params, A: Fraction, nu1: Fraction, C: Fraction, cubics):
     """(sum, relative error bound) of d^3 q_i(0) 2F3_i for each d^3 q_i
-    among ``cubics``, from one integer pass over the series, for
-    w^2/4 < 2^19.
+    among ``cubics``, from one integer pass over the series, refused
+    (ConvergenceError) where it would take over _MAX_TERMS terms.
 
     sum i is sum_p u_p q_i(p), where u_0 = 1 and u_p+1/u_p = -(w^2/4)
     (A+2p)(A+2p+1) / ((p+1)(nu1+p)(C+2p+3)(C+2p+4)).  The ratio is an
@@ -398,9 +391,8 @@ def _series_sums(params, A: Fraction, nu1: Fraction, C: Fraction, cubics):
     |I| <= B(a+1, b+1) implies against the first term, none at a <= -1.
     """
     a, b, nu, w = params
-    cancel = 0.0
+    lg, cancel = math.lgamma, 0.0
     if w > 0.0 and a > -1.0:    # B(a+1, b+1) does not exist at a <= -1
-        lg = math.lgamma
         cancel = (nu * (math.log(w) - math.log(2.0)) + lg(a + nu + 1.0)
                   - lg(nu + 1.0) - lg(a + b + nu + 2.0) - lg(a + 1.0)
                   + lg(a + b + 2.0))
@@ -408,6 +400,13 @@ def _series_sums(params, A: Fraction, nu1: Fraction, C: Fraction, cubics):
     # q_i(0) taken as (2w + 64)^4 for the P ~ 1.5 w terms of the pass.
     wp = _SERIES_BITS + 32 + math.ceil(max(cancel, 0.0) / math.log(2.0)
                                        + 4.0 * math.log2(2.0 * w + 64.0))
+    # |U_p| <= 2^wp (w/2)^2p / (p! (nu+1)_p), log-concave in p: the terms
+    # reach 0 by p = _MAX_TERMS if that bound is below 1 there.
+    M = _MAX_TERMS
+    if w > 0.0 and (wp * math.log(2) + M * (2 * math.log(w) - math.log(4))
+                    - lg(M + 1.0) + (lg(nu + 1.0) - lg(nu + M + 1.0))) >= 0:
+        raise ConvergenceError(f"the 2F3 series at w = {w} needs over {M} "
+                               "terms")
     z = -Fraction(w) ** 2 / 4
     while True:
         sums, P = _alternating_sums(wp, A, nu1, C, z)

@@ -9,6 +9,7 @@ import sys
 import time
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -58,6 +59,44 @@ def power_moment_600(a, b, nu, w):
         return pref * mp.hyp2f3((a + nu + 1) / 2, (a + nu + 2) / 2, nu + 1,
                                 (a + b + nu + 2) / 2, (a + b + nu + 3) / 2,
                                 -w * w / 4)
+
+
+def series_closed_form(a, b, nu, w):
+    """I(a) from the 2F3's defining series summed term by term in mpf (each
+    exact rational ratio applied as one multiply and one divide).  Each
+    pass sums at twice 256 bits past the cancellation measured so far, log2
+    of the largest term over the sum, until a pass covers the cancellation
+    it measures by 256 bits.  K is formed at 320 bits."""
+    a, b, nu, w = (Fraction(v) for v in (a, b, nu, w))
+    A, C, z = a + nu + 1, a + b + nu + 2, -w * w / 4
+    ratios, prec, cancel = [], 0, 192
+    while prec < cancel + 256:
+        prec = 2 * (cancel + 256)
+        with mp.workprec(prec):
+            term, total, big, p = mp.mpf(1), mp.mpf(0), mp.mpf(1), 0
+            limit = mp.ldexp(big, -prec)
+            while abs(term) > limit:
+                total += term
+                if abs(term) > big:
+                    big = abs(term)
+                    limit = mp.ldexp(big, -prec)
+                if p == len(ratios):
+                    r = z * (A + 2 * p) * (A + 2 * p + 1) / (
+                        (p + 1) * (nu + 1 + p) * (C + 2 * p) * (C + 2 * p + 1))
+                    ratios.append((r.numerator, r.denominator))
+                num, den = ratios[p]
+                term = term * num / den
+                p += 1
+            cancel = max(cancel, mp.mag(big) - mp.mag(total))
+    with mp.workprec(320):
+        am, bm, nm, wm = (mp.mpf(v.numerator) / v.denominator
+                          for v in (a, b, nu, w))
+        return (mp.gamma(bm + 1) * mp.gamma(am + nm + 1) * (wm / 2) ** nm
+                * total / (mp.gamma(nm + 1) * mp.gamma(am + bm + nm + 2)))
+
+
+def refuse_2f3(*args, **kwargs):
+    raise AssertionError("mpmath's 2F3 evaluated")
 
 
 #: M(0)..M(5) to 60 digits on six kernels, as the adaptive-precision
@@ -518,19 +557,21 @@ class TestPowerMoment:
         assert max(counts) == counts[0], counts
 
     def test_fallback_where_nu_is_comparable_to_omega(self, monkeypatch):
-        # Above |z| = 2^19 with nu^2 > 64 w the expansion is not tried,
-        # and the four starts are one mpmath 2F3 each; where its terms
-        # diverge before they reach their target, _two_end_sums says so.
+        # Above |z| = 2^19 with nu^2 > 64 w the expansion is not tried, and
+        # the four starts come from the integer pass, as below the switch;
+        # where the expansion's terms diverge before they reach their
+        # target, _two_end_sums says so.
         with pytest.raises(ConvergenceError, match="diverge"):
             moments._two_end_sums((0.2, 0.4, 300.0, 500.0))
-        calls, original = [], mp.hyp2f3
+        passes, original = [], moments._alternating_sums
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
-        monkeypatch.setattr(mp, "hyp2f3", counted)
+        def counted(wp, *args):
+            passes.append(wp)
+            return original(wp, *args)
+        monkeypatch.setattr(moments, "_alternating_sums", counted)
+        monkeypatch.setattr(mp, "hyp2f3", refuse_2f3)
         got = power_moment(0.2, 0.4, 1000.0, 1449.0, 4)
-        assert len(calls) == 4
+        assert passes
         monkeypatch.undo()
         with mp.workprec(600):
             for i, (value, err_est) in enumerate(got):
@@ -538,25 +579,51 @@ class TestPowerMoment:
                                                    1000.0, 1449.0))
                 assert err <= err_est, (i, float(err), err_est)
 
+    def test_integer_pass_where_mpmath_2f3_fails(self, monkeypatch):
+        # At (0.2, 0.4, 1000, 1e4) mpmath's 2F3 raised ConvergenceError.
+        # The integer pass agrees with the defining series summed in mpf,
+        # and with the oracle's M(0) within the oracle's err_est.
+        a, b, nu, w = 0.2, 0.4, 1000.0, 1e4
+        monkeypatch.setattr(mp, "hyp2f3", refuse_2f3)
+        [(value, err_est)] = power_moment(a, b, nu, w)
+        assert abs(value - series_closed_form(a, b, nu, w)) <= err_est
+        ref, ref_err = reference_moment(ProblemSpec(a, b, nu, w), 0, CFG)
+        assert abs(float(value) - ref) <= ref_err
+
+    @pytest.mark.parametrize("a, b, nu, w", [(10000.0, 0.4, 0.0, 2000.0),
+                                             (0.2, 10000.0, 0.0, 2000.0)])
+    def test_integer_pass_where_the_expansion_stalls(self, a, b, nu, w,
+                                                     monkeypatch):
+        # Huge weights make the expansion's terms diverge at x = 0 or at
+        # x = 1; the integer pass gives the values mpmath's 2F3 gave.
+        with pytest.raises(ConvergenceError, match="diverge"):
+            moments._two_end_sums((a, b, nu, w))
+        with mp.workprec(600):
+            want = [power_moment_600(mp.mpf(a) + i, b, nu, w)
+                    for i in range(4)]
+        monkeypatch.setattr(mp, "hyp2f3", refuse_2f3)
+        for i, (value, err_est) in enumerate(power_moment(a, b, nu, w, 4)):
+            with mp.workprec(600):
+                assert abs(value - want[i]) <= err_est, i
+
+    def test_integer_pass_refused_past_max_terms(self, monkeypatch):
+        # ~1.36 w terms of ~1.44 w bits: at w = 1e6, by that w^2 growth from
+        # 3.3 s at 4.3e4, about half an hour.  It is refused before its
+        # first term.
+        def fail(*args):
+            raise AssertionError("series pass started")
+        monkeypatch.setattr(moments, "_alternating_sums", fail)
+        monkeypatch.setattr(mp, "hyp2f3", refuse_2f3)
+        with pytest.raises(ConvergenceError, match="terms"):
+            power_moment(0.2, 0.4, 1e4, 1e6, 4)
+
     def test_expansion_where_mpmath_2f3_errs(self):
         # At (-0.5, 2, 2.5, 2000) mpmath 1.3.0's asymptotic 2F3 misses I(a)
         # by 8.7e-17 relative, at 256 bits and at 600; the expansion agrees
-        # with the 2F3's defining series summed at 4,800 bits.
+        # with the 2F3's defining series.
         a, b, nu, w = -0.5, 2.0, 2.5, 2000.0
         [(value, err_est)] = power_moment(a, b, nu, w)
-        with mp.workprec(4800):
-            A1, A2 = mp.mpf(a + nu + 1) / 2, mp.mpf(a + nu + 2) / 2
-            B2, B3 = mp.mpf(a + b + nu + 2) / 2, mp.mpf(a + b + nu + 3) / 2
-            z, term, total, p = -mp.mpf(w) ** 2 / 4, mp.mpf(1), 0, 0
-            while abs(term) > mp.ldexp(abs(total) + 1, -4800):
-                total += term
-                term *= (A1 + p) * (A2 + p) * z / (
-                    (nu + 1 + p) * (B2 + p) * (B3 + p) * (p + 1))
-                p += 1
-            want = (mp.gamma(b + 1) * mp.gamma(a + nu + 1)
-                    * (mp.mpf(w) / 2) ** nu * total
-                    / (mp.gamma(nu + 1) * mp.gamma(a + b + nu + 2)))
-            assert abs(value - want) <= err_est
+        assert abs(value - series_closed_form(a, b, nu, w)) <= err_est
 
     def test_smallest_positive_omega(self):
         # w / 2 underflows to 0 at w = 5e-324, so the integer pass's first
@@ -570,6 +637,28 @@ class TestPowerMoment:
         result = ccf_integrate(ProblemSpec(0.2, 0.4, 0.0, w,
                                            integrand=math.exp), 2)
         assert math.isfinite(result.value)
+
+    def test_err_est_where_the_value_underflows_a_double(self):
+        # |I(a)| ~ 6.5e-325 rounds to the double 0, and err_est read 0.0.
+        [(value, err_est)] = power_moment(0.2, 0.4, 1.0, 5e-324)
+        with mp.workprec(600):
+            err = abs(value - power_moment_600(0.2, 0.4, 1.0, 5e-324))
+        assert value != 0 and 0.0 < err_est and err <= err_est
+
+    @pytest.mark.parametrize("a, b, w", [(0.2, 1e300, 1000.0),
+                                         (0.2, 1e300, 20.0),
+                                         (1e300, 0.4, 1000.0),
+                                         (1e300, 0.4, 20.0)])
+    def test_huge_weights_rejected(self, a, b, w):
+        # |I| <= B(a+1, b+1) ~ 1e-360, but power_moment returned ~1e899
+        # with err_est inf: K's Gamma arguments had lost their offsets.
+        with pytest.raises(DomainError, match="2\\^53"):
+            power_moment(a, b, 0.0, w)
+
+    def test_huge_weight_table_rejected(self):
+        # The table's four closed forms were inf, its err_est NaN.
+        with pytest.raises(DomainError, match="2\\^53"):
+            moment_table(ProblemSpec(0.2, 1e300, 0.0, 20.0), 3)
 
     @pytest.mark.parametrize("nu, w", [(20.0, 1e17), (7.0, 1e46),
                                        (2.5, 1e126), (2.0, 1e156)])
@@ -1209,20 +1298,14 @@ class TestMomentTable:
 
     def test_no_mpmath_2f3_on_the_table_path(self, monkeypatch):
         # Below _OMEGA_MIN the four closed forms come from one integer
-        # pass, from there on from the two-end expansion: neither calls
-        # mpmath's 2F3, below its asymptotic switch (|z| = w^2/4 = 2^19,
-        # w ~ 1448.15) or above it.
-        calls = []
-        original = mp.hyp2f3
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(mp, "hyp2f3", counted)
-        for omega in (20.0, 1448.0, 1449.0, 2000.0, 1e4, 1e9):
-            moment_table(ProblemSpec(0.2, 0.4, 0.0, omega), 256)
-            assert calls == [], omega
+        # pass, from there on from the two-end expansion, and from the
+        # integer pass where nu^2 > 64 w above |z| = w^2/4 = 2^19 (w ~
+        # 1448.15): none calls mpmath's 2F3.
+        monkeypatch.setattr(mp, "hyp2f3", refuse_2f3)
+        for nu, omega in [(0.0, 20.0), (0.0, 1448.0), (0.0, 1449.0),
+                          (0.0, 2000.0), (0.0, 1e4), (0.0, 1e9),
+                          (400.0, 1449.0)]:
+            moment_table(ProblemSpec(0.2, 0.4, nu, omega), 256)
 
     def test_band_matches_accumulated_entries(self):
         # Forward rows m = 2..6 (k_switch = 10) and Oliver rows up to
