@@ -6,13 +6,12 @@ from .ccf import (ConvergenceRecord, QuadratureResult, ccf_integrate,
                   clear_moment_cache, convergence_study, fit_rate)
 from .chebfit import ChebyshevExpansion, cc_points, cheb_interp_coeffs
 from .errors import (AccuracyError, ConvergenceError, DomainError,
-                     OscBesselError, PoleError, SingularSystemError)
+                     OscBesselError, SingularSystemError)
 from .moments import (MomentTable, end_moment_asymptotic, moment_table,
                       power_moment, recurrence_residual)
 from .oracle import (OracleConfig, reference_integral, reference_moment,
                      reference_moments)
 from .problem import ProblemSpec
-from .specfun import hyp2f3
 
 __version__ = "0.1.0"
 
@@ -26,7 +25,6 @@ __all__ = [
     "recurrence_residual",
     "OracleConfig", "reference_integral", "reference_moment",
     "reference_moments",
-    "hyp2f3",
-    "OscBesselError", "DomainError", "PoleError", "ConvergenceError",
+    "OscBesselError", "DomainError", "ConvergenceError",
     "AccuracyError", "SingularSystemError",
 ]

@@ -10,8 +10,9 @@ f is called once per distinct node, with a Python float, and its result
 is converted to float64 as numpy converts it (problem.sample).  A rule of
 size N calls it N+1 times; in convergence_study every N that divides N_max
 reuses the samples at cc_points(N_max), so a dyadic or triadic sweep calls
-it N_max+1 times in all.  A missing f, an f that raises an ArithmeticError
-and a non-finite f(x) are each a DomainError.
+it N_max+1 times in all.  A missing f, an ArithmeticError, TypeError or
+ValueError from f or from that conversion (a complex f(x), say) and a
+non-finite f(x) are each a DomainError.
 """
 
 from __future__ import annotations

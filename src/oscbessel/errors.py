@@ -9,10 +9,6 @@ class DomainError(OscBesselError, ValueError):
     """An argument lies outside the mathematical domain of an operation."""
 
 
-class PoleError(DomainError):
-    """A special function was evaluated at one of its poles."""
-
-
 class ConvergenceError(OscBesselError, RuntimeError):
     """An iterative computation failed to reach the requested accuracy."""
 

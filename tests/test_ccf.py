@@ -127,6 +127,32 @@ class TestCcfIntegrate:
         with pytest.raises(DomainError, match="integrand raised"):
             reference_integral(spec)
 
+    @pytest.mark.parametrize("bad, cause", [
+        (lambda x: (x - 0.5) ** 0.5, TypeError),    # a complex
+        (lambda x: "abc", ValueError),
+        (lambda x: [1.0, 2.0], ValueError),
+        (lambda x: math.sqrt(x - 0.5), ValueError),  # raised by f itself
+    ], ids=["complex", "str", "sequence", "math-domain"])
+    def test_non_real_integrand_value_rejected(self, bad, cause):
+        # numpy's float conversion of a complex, str or sequence escaped as
+        # a bare TypeError or ValueError, naming no x.
+        seen = []
+
+        def f(x):
+            seen.append(x)
+            return bad(x) if x < 0.4 else 1.0
+
+        spec = ProblemSpec(0.2, 0.4, 0.0, 20.0, integrand=f)
+        for run in (lambda: ccf_integrate(spec, 8),
+                    lambda: reference_integral(spec)):
+            seen.clear()
+            with pytest.raises(DomainError, match="integrand raised") as info:
+                run()
+            assert type(info.value.__cause__) is cause
+            # the first failing node is named
+            assert str(info.value).endswith(f" at x={seen[-1]}")
+            assert seen[-1] < 0.4 and min(seen[:-1], default=1.0) >= 0.4
+
     @pytest.mark.parametrize("N", [64.0, 16.7, "64"])
     def test_non_integral_n_rejected_before_work(self, N, monkeypatch):
         # A float N raised numpy's TypeError only after the table was

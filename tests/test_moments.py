@@ -474,7 +474,7 @@ class TestPowerMoment:
                                           (0.6, -0.4, 7.0)])
     def test_err_est_bounds_error(self, a, b, nu):
         for w in (20.0, 1000.0, 2000.0, 1e4, 1e5):
-            [(value, err_est)] = power_moment(a, b, nu, w)
+            value, err_est = power_moment(a, b, nu, w)[0]
             with mp.workprec(600):
                 err = abs(value - power_moment_600(a, b, nu, w))
             assert err <= err_est, (w, float(err), err_est)
@@ -512,7 +512,7 @@ class TestPowerMoment:
         monkeypatch.setattr(moments, "_alternating_sums", counted)
         for w in omegas:
             passes.clear()
-            got = power_moment(a, b, nu, w, 4)
+            got = power_moment(a, b, nu, w)
             if (a, b, nu, w) in REPEATED_PASS:
                 assert len(passes) > 1, (w, passes)
             above = w * w >= 4 * moments._SERIES_ONLY
@@ -537,7 +537,7 @@ class TestPowerMoment:
         for w in (moments._OMEGA_MIN + 1.0, 800.0, 1400.0):
             expansion, _ = moments._two_end_sums((a, b, nu, w))
             monkeypatch.setattr(moments, "_OMEGA_MIN", math.inf)
-            series = power_moment(a, b, nu, w, 4)
+            series = power_moment(a, b, nu, w)
             monkeypatch.undo()
             with mp.workprec(600):
                 for i, ((v, rel), (u, err)) in enumerate(zip(expansion,
@@ -570,7 +570,7 @@ class TestPowerMoment:
             return original(wp, *args)
         monkeypatch.setattr(moments, "_alternating_sums", counted)
         monkeypatch.setattr(mp, "hyp2f3", refuse_2f3)
-        got = power_moment(0.2, 0.4, 1000.0, 1449.0, 4)
+        got = power_moment(0.2, 0.4, 1000.0, 1449.0)
         assert passes
         monkeypatch.undo()
         with mp.workprec(600):
@@ -585,7 +585,7 @@ class TestPowerMoment:
         # and with the oracle's M(0) within the oracle's err_est.
         a, b, nu, w = 0.2, 0.4, 1000.0, 1e4
         monkeypatch.setattr(mp, "hyp2f3", refuse_2f3)
-        [(value, err_est)] = power_moment(a, b, nu, w)
+        value, err_est = power_moment(a, b, nu, w)[0]
         assert abs(value - series_closed_form(a, b, nu, w)) <= err_est
         ref, ref_err = reference_moment(ProblemSpec(a, b, nu, w), 0, CFG)
         assert abs(float(value) - ref) <= ref_err
@@ -602,7 +602,7 @@ class TestPowerMoment:
             want = [power_moment_600(mp.mpf(a) + i, b, nu, w)
                     for i in range(4)]
         monkeypatch.setattr(mp, "hyp2f3", refuse_2f3)
-        for i, (value, err_est) in enumerate(power_moment(a, b, nu, w, 4)):
+        for i, (value, err_est) in enumerate(power_moment(a, b, nu, w)):
             with mp.workprec(600):
                 assert abs(value - want[i]) <= err_est, i
 
@@ -615,21 +615,21 @@ class TestPowerMoment:
         monkeypatch.setattr(moments, "_alternating_sums", fail)
         monkeypatch.setattr(mp, "hyp2f3", refuse_2f3)
         with pytest.raises(ConvergenceError, match="terms"):
-            power_moment(0.2, 0.4, 1e4, 1e6, 4)
+            power_moment(0.2, 0.4, 1e4, 1e6)
 
     def test_expansion_where_mpmath_2f3_errs(self):
         # At (-0.5, 2, 2.5, 2000) mpmath 1.3.0's asymptotic 2F3 misses I(a)
         # by 8.7e-17 relative, at 256 bits and at 600; the expansion agrees
         # with the 2F3's defining series.
         a, b, nu, w = -0.5, 2.0, 2.5, 2000.0
-        [(value, err_est)] = power_moment(a, b, nu, w)
+        value, err_est = power_moment(a, b, nu, w)[0]
         assert abs(value - series_closed_form(a, b, nu, w)) <= err_est
 
     def test_smallest_positive_omega(self):
         # w / 2 underflows to 0 at w = 5e-324, so the integer pass's first
         # precision estimate must not take log(w / 2).
         w = 5e-324
-        got = power_moment(0.2, 0.4, 0.0, w, 4)
+        got = power_moment(0.2, 0.4, 0.0, w)
         with mp.workprec(600):
             for i, (value, err_est) in enumerate(got):
                 beta = mp.beta(mp.mpf(0.2) + 1 + i, mp.mpf(0.4) + 1)
@@ -640,7 +640,7 @@ class TestPowerMoment:
 
     def test_err_est_where_the_value_underflows_a_double(self):
         # |I(a)| ~ 6.5e-325 rounds to the double 0, and err_est read 0.0.
-        [(value, err_est)] = power_moment(0.2, 0.4, 1.0, 5e-324)
+        value, err_est = power_moment(0.2, 0.4, 1.0, 5e-324)[0]
         with mp.workprec(600):
             err = abs(value - power_moment_600(0.2, 0.4, 1.0, 5e-324))
         assert value != 0 and 0.0 < err_est and err <= err_est
@@ -665,22 +665,11 @@ class TestPowerMoment:
     def test_err_est_finite_where_the_prefactor_overflows(self, nu, w):
         # (w/2)^nu overflows a double where the 2F3's err_est underflows
         # to 0, and err_est read inf * 0 = NaN.
-        [(value, err_est)] = power_moment(0.2, 0.4, nu, w)
+        value, err_est = power_moment(0.2, 0.4, nu, w)[0]
         assert math.isfinite(err_est)
         assert err_est >= 2.0 ** -192 * abs(float(value)) > 0.0
         table = moment_table(ProblemSpec(0.2, 0.4, nu, w), 5)
         assert np.all(np.isfinite(table.err_est))
-
-    @pytest.mark.parametrize("omega", [20.0, 2000.0])
-    def test_count_runs_from_one_to_four(self, omega):
-        # Only q_0..q_3 exist: a count of 5 or more returned I(a+3) again
-        # for every exponent past a+3 below the switch.
-        four = power_moment(0.2, 0.4, 0.0, omega, 4)
-        for count in (1, 2, 3):
-            assert power_moment(0.2, 0.4, 0.0, omega, count) == four[:count]
-        for count in (0, 5, 6, 4.0):
-            with pytest.raises(DomainError, match="count"):
-                power_moment(0.2, 0.4, 0.0, omega, count)
 
     @pytest.mark.parametrize("params", [
         (math.inf, 0.4, 0.0, 20.0), (math.nan, 0.4, 0.0, 2000.0),
@@ -688,13 +677,12 @@ class TestPowerMoment:
         (0.2, 0.4, 0.0, math.inf), (0.2, 0.4, 0.0, math.nan)])
     def test_non_finite_input_is_refused_before_any_2f3(self, params,
                                                         monkeypatch):
-        # power_moment's own DomainError, not one from inside hyp2f3.
+        # power_moment's own DomainError, not one from inside a 2F3.
         def fail(*args, **kwargs):
             raise AssertionError("2F3 evaluated")
         monkeypatch.setattr(mp, "hyp2f3", fail)
-        monkeypatch.setattr(moments, "hyp2f3", fail)
         with pytest.raises(DomainError, match="finite"):
-            power_moment(*params, 4)
+            power_moment(*params)
 
     def test_parameter_validation(self):
         with pytest.raises(DomainError):
@@ -1293,7 +1281,7 @@ class TestMomentTable:
         for name in calls:
             counted(name)
         moment_table(ProblemSpec(0.2, 0.4, 0.0, 20.0), 256)
-        assert calls["power_moment"] == [(0.2, 0.4, 0.0, 20.0, 4)]
+        assert calls["power_moment"] == [(0.2, 0.4, 0.0, 20.0)]
         assert len(calls["_smooth_jet"]) == 2
 
     def test_no_mpmath_2f3_on_the_table_path(self, monkeypatch):
@@ -1443,17 +1431,19 @@ def test_pipeline_is_independent_of_the_oracles_bessel():
 
 
 def test_table_never_calls_the_oracle():
-    # moments.py keeps the oracle's reference_moment only as an imported
-    # name (the benchmark's tracer wraps it); no statement may use it.
+    # moments.py keeps the oracle's reference_moment and mpmath's hyp2f3
+    # only as imported names (the benchmark's tracer wraps them by name);
+    # no statement may use either.
     path = (pathlib.Path(__file__).resolve().parents[1] / "src" / "oscbessel"
             / "moments.py")
     tree = ast.parse(path.read_text())
-    imports = [alias.name for node in ast.walk(tree)
+    tracer_only = {"reference_moment": "oracle", "hyp2f3": "mpmath"}
+    imports = [(alias.name, node.module) for node in ast.walk(tree)
                if isinstance(node, ast.ImportFrom)
-               for alias in node.names if alias.name == "reference_moment"]
+               for alias in node.names if alias.name in tracer_only]
     uses = [node.lineno for node in ast.walk(tree)
-            if isinstance(node, ast.Name) and node.id == "reference_moment"
-            or isinstance(node, ast.Attribute)
-            and node.attr == "reference_moment"]
-    assert imports == ["reference_moment"]
+            if isinstance(node, ast.Name) and node.id in tracer_only
+            or isinstance(node, ast.Attribute) and node.attr in tracer_only]
+    assert sorted(imports) == sorted(tracer_only.items())
     assert uses == []
+    assert moments.hyp2f3 is mp.hyp2f3
