@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from oscbessel.errors import DomainError
+from oscbessel.moments import power_moment
 from oscbessel.specfun import (bessel_entire_jet, jet_compose, jet_mul,
                                jet_pow)
 
@@ -109,3 +110,102 @@ class TestJetArithmetic:
             jet_pow(np.array([-1.0, 1.0]), 0.5)
         with pytest.raises(DomainError):
             jet_compose(np.array([1.0, 1.0]), np.array([1.0, 1.0]))
+
+
+def closed_form(a, b, nu, w):
+    """I(a) = int_0^1 x^a (1-x)^b J_nu(w x) dx as its Gamma prefactor times
+    its 2F3, at 600 bits, the 2F3 summed by mpmath as its defining series
+    (force_series: mpmath raises its own precision past the cancellation),
+    so no asymptotic branch of mpmath's judges the value."""
+    with mp.workprec(600):
+        a, b, nu, w = (mp.mpf(v) for v in (a, b, nu, w))
+        pref = (mp.gamma(b + 1) * mp.gamma(a + nu + 1) * (w / 2) ** nu
+                / (mp.gamma(nu + 1) * mp.gamma(a + b + nu + 2)))
+        return pref * mp.hyp2f3((a + nu + 1) / 2, (a + nu + 2) / 2, nu + 1,
+                                (a + b + nu + 2) / 2, (a + b + nu + 3) / 2,
+                                -w * w / 4, force_series=True,
+                                maxterms=10 ** 6)
+
+
+class TestHyp2f3:
+    """The 2F3 closed forms I(a+i) = K q_i(0) 2F3(...), i = 0..3, as
+    power_moment evaluates them (the two-end expansion from w = 600 on,
+    the exact integer pass elsewhere), against identities of the 2F3 and
+    against its defining series.  Each value must lie within its err_est;
+    I(a+i) is referred to a + i formed exactly, as power_moment forms it."""
+
+    def test_z_zero(self):
+        # At w = 0 the 2F3 is 1: I(a+i) is B(a+1+i, b+1) for nu = 0 and
+        # 0 for nu > 0.
+        for i, (value, err_est) in enumerate(power_moment(0.2, 0.4, 0.0,
+                                                          0.0)):
+            with mp.workprec(600):
+                want = mp.beta(mp.mpf(0.2) + 1 + i, mp.mpf(0.4) + 1)
+                assert abs(value - want) <= err_est, i
+        assert all(value == 0 and err_est == 0.0 for value, err_est
+                   in power_moment(0.2, 0.4, 0.7, 0.0))
+
+    def test_parameter_cancellation_gives_1f2(self):
+        # b = 0 cancels (a+nu+2)/2 between the upper and lower parameters:
+        # I(a) = (w/2)^nu / ((a+nu+1) Gamma(nu+1)) 1F2((a+nu+1)/2; nu+1,
+        # (a+nu+3)/2; -w^2/4), the term-by-term integral of J_nu's series.
+        a, nu = 0.4, 1.3
+        for w in (4.0, 1000.0):
+            for i, (value, err_est) in enumerate(power_moment(a, 0.0, nu,
+                                                              w)):
+                with mp.workprec(600):
+                    am, n, wm = mp.mpf(a) + i, mp.mpf(nu), mp.mpf(w)
+                    want = ((wm / 2) ** n / ((am + n + 1) * mp.gamma(n + 1))
+                            * mp.hyper([(am + n + 1) / 2],
+                                       [n + 1, (am + n + 3) / 2],
+                                       -wm * wm / 4, force_series=True,
+                                       maxterms=10 ** 6))
+                    assert abs(value - want) <= err_est, (w, i)
+
+    def test_bessel_series_identity(self):
+        # int_0^1 x^(nu+1) J_nu(w x) dx = J_(nu+1)(w) / w: the 2F3 of
+        # I(nu+1) with b = 0 reduces to J_(nu+1)'s 0F1.
+        for nu in (0.0, 2.5):
+            for w in (3.0, 1000.0):
+                value, err_est = power_moment(nu + 1, 0.0, nu, w)[0]
+                with mp.workprec(600):
+                    want = mp.besselj(nu + 1, w) / w
+                    assert abs(value - want) <= err_est, (nu, w)
+                assert err_est <= 1e-50 * abs(float(want))
+
+    def test_cancellation_prone_argument(self):
+        # (0.2, 0.4, 0) at w = 200, z = -(200/2)^2: the 2F3's terms reach
+        # ~1e86 times the sum.
+        a, b, nu, w = 0.2, 0.4, 0.0, 200.0
+        value, err_est = power_moment(a, b, nu, w)[0]
+        want = closed_form(a, b, nu, w)
+        rel = abs(float(value) - float(want)) / abs(float(want))
+        assert rel <= 1e-12
+        assert err_est <= 1e-10 * abs(float(want))
+        with mp.workprec(600):
+            assert abs(value - want) <= err_est
+
+    def test_large_argument_at_fixed_precision(self):
+        # z = -(1e4/2)^2, past where a series summation at fixed precision
+        # gives up; the value is still within err_est of the 2F3's series.
+        a, b, nu, w = 0.2, 0.4, 0.0, 1e4
+        value, err_est = power_moment(a, b, nu, w)[0]
+        want = closed_form(a, b, nu, w)
+        with mp.workprec(600):
+            assert abs(value - want) <= err_est
+        assert err_est <= 2.0 ** -150 * abs(float(want))
+
+    @pytest.mark.parametrize("w", [700.0, 1000.0, 1200.0, 2000.0])
+    def test_err_est_bounds_error_across_branch_switch(self, w):
+        # mpmath's 2F3 moves from its convergent series to its asymptotic
+        # expansion in this range of omega, and power_moment's expansion
+        # meets its 2^19 cut in |z| (w ~ 1448); the bound must hold on both
+        # sides, for every I(a+i).
+        for nu in (0.0, 7.0, 20.0):
+            for a, b in ((-0.9, -0.9), (1.5, 1.5)):
+                for i, (value, err_est) in enumerate(power_moment(a, b, nu,
+                                                                  w)):
+                    with mp.workprec(600):
+                        want = closed_form(mp.mpf(a) + i, b, nu, w)
+                        err = abs(value - want)
+                    assert err <= err_est, (w, nu, a, i, float(err))
